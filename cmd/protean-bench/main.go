@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		seeds    = fs.Int("seeds", 1, "replications under derived sub-seeds; >1 reports mean ± 95% CI")
 		parallel = fs.Int("parallel", 0, "scenario worker goroutines (0 = all CPUs, 1 = sequential)")
-		shards   = fs.Int("shards", 1, "within-scenario shard workers; output is byte-identical at every value")
 		quick    = fs.Bool("quick", false, "smaller model sweeps and durations")
 		sketch   = fs.Bool("sketch", false, "O(1)-memory quantile sketches instead of exact sample buffers (1% relative error; -run scale always sketches)")
 		asJSON   = fs.Bool("json", false, "emit JSON instead of text tables")
@@ -132,7 +131,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Warmup:          *warmup,
 		Seed:            *seed,
 		Parallel:        *parallel,
-		Shards:          *shards,
 		Quick:           *quick,
 		SketchQuantiles: *sketch,
 	}

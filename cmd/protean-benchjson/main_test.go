@@ -104,7 +104,7 @@ func TestCustomMetricColumns(t *testing.T) {
 	// both placements must parse, and B/op and allocs/op must land in
 	// their dedicated fields rather than the metrics map.
 	const sample = `
-BenchmarkShardedScenario/vision/shards=4-16 	       2	 428546130 ns/op	   1296030 events/sec
+BenchmarkScaleCell/scale=100x-16          	       2	 428546130 ns/op	   1296030 events/sec
 BenchmarkWithMem-16                         	    1000	      1500 ns/op	       42.5 items/op	     128 B/op	       3 allocs/op
 PASS
 `
@@ -112,15 +112,15 @@ PASS
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := results["BenchmarkShardedScenario/vision/shards=4"]
-	if sharded == nil {
-		t.Fatal("sharded benchmark not parsed")
+	cell := results["BenchmarkScaleCell/scale=100x"]
+	if cell == nil {
+		t.Fatal("no-benchmem benchmark not parsed")
 	}
-	if got := sharded.Metrics["events/sec"]; got != 1296030 {
+	if got := cell.Metrics["events/sec"]; got != 1296030 {
 		t.Errorf("events/sec = %v, want 1296030", got)
 	}
-	if sharded.BytesPerOp != nil || sharded.AllocsPerOp != nil {
-		t.Errorf("no-benchmem row grew memory columns: %+v", sharded)
+	if cell.BytesPerOp != nil || cell.AllocsPerOp != nil {
+		t.Errorf("no-benchmem row grew memory columns: %+v", cell)
 	}
 	mem := results["BenchmarkWithMem"]
 	if mem == nil {

@@ -249,6 +249,30 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxBodyBytes caps every single-object JSON request body. The largest
+// legitimate one, a /simulate request, is a few hundred bytes.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes one JSON object from the request body into v,
+// reading at most maxBodyBytes and rejecting unknown fields. An empty
+// body yields io.EOF, which callers with all-optional fields accept.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// writeDecodeError answers a failed decodeBody: 413 when the body
+// exceeded maxBodyBytes, 400 for anything else.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decode request: %w", err))
+}
+
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -366,10 +390,8 @@ func (s *Server) touchTrace(id string) {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	resp, err := s.simulate(req)

@@ -30,9 +30,6 @@ type PlaneConfig struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Nodes is the worker count (default 8).
 	Nodes int `json:"nodes,omitempty"`
-	// Shards is the shard worker count (default 1; behaviour is
-	// byte-identical at every value).
-	Shards int `json:"shards,omitempty"`
 	// ChaosScale enables deterministic fault injection (0 = off).
 	ChaosScale float64 `json:"chaosScale,omitempty"`
 	// QuantumMillis is the wall→virtual quantization step (default 10).
@@ -51,14 +48,13 @@ type PlaneInfo struct {
 	VirtualTime float64 `json:"virtualTime"`
 	Tenants     int     `json:"tenants"`
 	// Backlog is total queued-but-unfinished requests.
-	Backlog   int    `json:"backlog"`
-	Decisions int    `json:"decisions"`
+	Backlog   int `json:"backlog"`
+	Decisions int `json:"decisions"`
 	// Fingerprint hashes every admission decision; two planes that served
 	// identical logs show identical fingerprints.
 	Fingerprint string `json:"fingerprint"`
 	Seed        int64  `json:"seed"`
 	Nodes       int    `json:"nodes"`
-	Shards      int    `json:"shards"`
 }
 
 // getPlane returns the live plane, creating a default one on first use.
@@ -80,16 +76,13 @@ func (s *Server) getPlane() (*controlplane.Plane, error) {
 
 func (s *Server) handlePlaneConfig(w http.ResponseWriter, r *http.Request) {
 	var cfg PlaneConfig
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeBody(w, r, &cfg); err != nil && !errors.Is(err, io.EOF) {
+		writeDecodeError(w, err)
 		return
 	}
 	p, err := controlplane.New(controlplane.Options{
 		Seed:            cfg.Seed,
 		Nodes:           cfg.Nodes,
-		Shards:          cfg.Shards,
 		ChaosScale:      cfg.ChaosScale,
 		Quantum:         cfg.QuantumMillis / 1000,
 		KeepWarmDefault: cfg.KeepWarmSeconds,
@@ -120,7 +113,6 @@ func planeInfo(p *controlplane.Plane) PlaneInfo {
 		Fingerprint: fmt.Sprintf("%016x", hash),
 		Seed:        opts.Seed,
 		Nodes:       opts.Nodes,
-		Shards:      opts.Shards,
 	}
 }
 
@@ -206,10 +198,8 @@ func (s *Server) handleMarketPrices(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg controlplane.TenantConfig
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeBody(w, r, &cfg); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	p, err := s.getPlane()
@@ -334,10 +324,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var line IngestLine
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&line); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeBody(w, r, &line); err != nil && !errors.Is(err, io.EOF) {
+		writeDecodeError(w, err)
 		return
 	}
 	d, err := ingest(line)

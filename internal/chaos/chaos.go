@@ -6,8 +6,7 @@
 // Five fault kinds are injected, all drawn from dedicated child
 // streams derived (sim.Stream.Child) from the simulation's seeded
 // stream, so a chaos schedule is a pure function of the run's seed —
-// byte-identical across repeats and across any -parallel or -shards
-// setting. The Poisson fault processes (slice failures, storms) and
+// byte-identical across repeats and across any -parallel setting. The Poisson fault processes (slice failures, storms) and
 // the retry jitter draw from the injector's own schedule stream, which
 // only ever runs in root-simulation context; the per-decision queries
 // that execution can reach from a per-node lane (SampleReconfig,
@@ -254,9 +253,8 @@ type Targets interface {
 // node's queries draw from, the simulation those decisions are traced
 // on (the node's lane when the cluster binds one, the root otherwise),
 // and the counters that node accumulated. Each node's queries only
-// ever execute in that node's serialised context — its lane during a
-// phase, or the exclusive root — so no lock is needed and the draw
-// order is the node's own event order.
+// ever execute in one of that node's own events (on its lane) or in a
+// root event, so the draw order is the node's own event order.
 type nodeChaos struct {
 	sim   *sim.Sim
 	rng   *sim.Stream
@@ -312,8 +310,8 @@ func New(s *sim.Sim, cfg Config) (*Injector, error) {
 
 // Start arms the Poisson fault processes against t. nodes is the
 // worker count slice failures are spread across; each node gets its
-// own decision stream, derived by node id so the assignment is stable
-// across shard counts. Safe on nil.
+// own decision stream, derived by node id so the assignment does not
+// depend on other nodes' draws. Safe on nil.
 func (inj *Injector) Start(t Targets, nodes int) {
 	if inj == nil || inj.stopped {
 		return
@@ -336,9 +334,8 @@ func (inj *Injector) Start(t Targets, nodes int) {
 }
 
 // BindLane routes node's fault decisions (their trace events and
-// clock reads) through s — the node's lane in a sharded cluster — so
-// a query made while that lane is executing a phase never touches the
-// root simulation. Must be called after Start. Safe on nil.
+// clock reads) through s — the node's lane in the cluster — so they
+// read the node's own clock. Must be called after Start. Safe on nil.
 func (inj *Injector) BindLane(node int, s *sim.Sim) {
 	if inj == nil || node < 0 || node >= len(inj.perNode) || s == nil {
 		return
@@ -439,9 +436,9 @@ func (inj *Injector) armStorm() {
 // SampleReconfig decides the fate of one MIG reconfiguration as its
 // downtime begins: the downtime multiplier (1 when healthy) and
 // whether the geometry change aborts and rolls back. Implements the
-// gpu engine's ReconfigFaults hook; may run on the node's lane (a
-// drain can complete inside a lane phase), so it draws from the
-// node's stream and traces through the node's sim. Safe on nil.
+// gpu engine's ReconfigFaults hook; may run in a node-lane event (a
+// drain can complete there), so it draws from the node's stream and
+// traces through the node's sim. Safe on nil.
 func (inj *Injector) SampleReconfig(node int) (stretch float64, abort bool) {
 	if inj == nil || inj.stopped {
 		return 1, false
@@ -524,8 +521,7 @@ func (inj *Injector) emit(kind obs.Kind, node int, batch uint64, detail string, 
 }
 
 // emitOn traces one chaos event through s — the sim whose context the
-// decision ran in, so lane-phase decisions buffer into the lane's
-// deterministic merge instead of racing on the root tracer.
+// decision ran in, so the event carries that domain's clock.
 func (inj *Injector) emitOn(s *sim.Sim, kind obs.Kind, node int, batch uint64, detail string, value float64) {
 	tr := s.Tracer()
 	if !tr.Enabled() {

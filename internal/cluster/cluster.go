@@ -42,13 +42,11 @@ type Config struct {
 	// MonitorInterval is the reconfiguration monitor window W
 	// (default 2 s).
 	MonitorInterval float64
-	// DispatchQuantum is the period of the dispatch barrier (default
+	// DispatchQuantum is the period of the dispatch tick (default
 	// 5 ms): batches the gateway seals are routed to nodes at the next
-	// quantum boundary. A shorter quantum tightens dispatch latency; a
-	// longer one lets the per-node shards run further between
-	// synchronisation barriers. The schedule is part of the model, so
-	// results depend on the quantum — but not on the shard worker
-	// count.
+	// quantum boundary. A shorter quantum tightens dispatch latency.
+	// The schedule is part of the model, so results depend on the
+	// quantum.
 	DispatchQuantum float64
 	// ReconfigFrac caps the fraction of GPUs reconfiguring
 	// simultaneously (default 0.3 per §4.4).
@@ -116,10 +114,10 @@ type heldBatch struct {
 }
 
 // node is one GPU worker. Each node runs on its own simulation lane
-// (shard): its GPU, scaler, jitter stream, and the counters below are
-// only ever touched from that lane's phases or from the root's
-// exclusive barrier events, so no node state needs locking and the
-// node's event order is independent of every other shard.
+// (its own clock and tie-break rank): its GPU, scaler, jitter stream,
+// and the counters below are only ever touched from that lane's events
+// or from root events, so the node's event order is independent of
+// every other node.
 type node struct {
 	id      int
 	cluster *Cluster
@@ -140,7 +138,7 @@ type node struct {
 
 	// Live-serving buffers (only filled after StartLive): lane-local
 	// completion and drop records, drained in node order at root
-	// barriers by CollectLive.
+	// events by CollectLive.
 	doneBuf []Completion
 	dropBuf []DropRecord
 
@@ -154,16 +152,15 @@ type node struct {
 	dropped   int
 
 	// jobFree recycles gpu.Job objects for this node's placements. The
-	// list is touched from root barrier context (dispatch → place) and
-	// the node's own lane (pumpHeld, completions) — never concurrently,
-	// by the barrier exclusivity contract.
+	// list is touched from root events (dispatch → place) and the
+	// node's own lane (pumpHeld, completions), all on one event heap.
 	jobFree pool.Free[gpu.Job]
 	// onDone/onFail are the hoisted per-node completion callbacks, so a
 	// placement costs no closure allocations.
 	onDone, onFail func(*gpu.Job)
 	// spent buffers completed batches (lane context); the root returns
-	// them to the batcher's freelist at each dispatch barrier, in node
-	// order, so reuse order is shard-count-independent.
+	// them to the batcher's freelist at each dispatch tick, in node
+	// order, so reuse order is fixed by the schedule.
 	spent []*queue.Batch
 }
 
@@ -177,9 +174,9 @@ type GeometryEvent struct {
 // Cluster is the running platform. The root simulation hosts the
 // coordinator (dispatch, monitor, VM market, chaos schedule); the
 // gateway (arrivals and batching) and every node run on lanes of that
-// root. Sealed batches cross from the gateway shard to the
+// root. Sealed batches cross from the gateway lane to the
 // coordinator through the sealed mailbox, drained in seal order at
-// each dispatch-quantum barrier.
+// each dispatch-quantum tick.
 type Cluster struct {
 	cfg      Config
 	sim      *sim.Sim // root
@@ -237,8 +234,8 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	if cfg.SketchQuantiles {
 		c.recorder = metrics.NewSketchRecorder()
 	}
-	// The gateway lane is created first so its trace events sort ahead
-	// of node-lane events at equal timestamps (arrival before service).
+	// The gateway lane is created first so its events run ahead of
+	// node-lane events at equal timestamps (arrival before service).
 	c.gateway = s.Lane("gateway")
 	budget, err := reconfig.NewBudget(cfg.Nodes, cfg.ReconfigFrac)
 	if err != nil {
@@ -265,8 +262,8 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: node %d geometry: %w", i, err)
 		}
 		// Everything node-local — GPU timers, scaler clock reads, jitter
-		// draws — lives on the node's lane so it advances independently
-		// of the other shards between barriers.
+		// draws — lives on the node's lane, so it keeps the node's own
+		// clock and tie-break rank.
 		ns := s.Lane(fmt.Sprintf("node/%d", i))
 		g, err := gpu.NewGPUWithArch(ns, i, arch, geom, pol.Sharing())
 		if err != nil {
@@ -346,7 +343,7 @@ func (c *Cluster) Recorder() *metrics.Recorder { return c.recorder }
 
 // PoolStats aggregates freelist hit/miss counters across the batcher
 // (batch and partial-batch shells) and every node's job list. The
-// counts are deterministic for a seed at any shard count. Call from
+// counts are deterministic for a seed. Call from
 // root context only.
 func (c *Cluster) PoolStats() pool.Stats {
 	st := c.batcher.PoolStats()
@@ -394,7 +391,7 @@ type Result struct {
 	// Chaos reports injected-fault counters (nil when chaos is off).
 	Chaos *chaos.Stats
 	// Pool counts hot-object freelist traffic (job/batch reuse); hits
-	// are deterministic for a seed at any shard count.
+	// are deterministic for a seed.
 	Pool pool.Stats
 	// Market digests marketplace activity (nil unless the fleet is
 	// market-backed).
@@ -578,7 +575,7 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 		reconfigs += n.gpu.ReconfigCount()
 		aborts += n.gpu.ReconfigAborts()
 		// Merge the lane-local accumulators in node order — a fixed
-		// order, so the report does not depend on the shard count.
+		// order, so the report is a pure function of the schedule.
 		c.recorder.Merge(&n.recorder)
 		c.timeline = append(c.timeline, n.timeline...)
 		c.completed += n.completed
@@ -694,10 +691,9 @@ func (c *Cluster) enqueueSealed(b *queue.Batch) {
 }
 
 // drainSealed routes every mailbox batch to a node, in seal order —
-// the deterministic barrier drain of the dispatch quantum. It also
-// returns batches the nodes finished since the last barrier to the
-// batcher's freelist, in node order, so reuse order never depends on
-// the shard count.
+// the deterministic drain of the dispatch quantum. It also returns
+// batches the nodes finished since the last tick to the batcher's
+// freelist, in node order, so reuse order is fixed by the schedule.
 func (c *Cluster) drainSealed() {
 	for _, n := range c.nodes {
 		for i, b := range n.spent {
@@ -915,7 +911,7 @@ func (n *node) coldStartFailed(b *queue.Batch, attempt int) {
 }
 
 // drop abandons work on this node, counting its requests and tracing
-// the loss. Runs in the node's context (lane or root barrier).
+// the loss. Runs in the node's lane or in a root event.
 func (n *node) drop(batchID uint64, requests int) {
 	n.dropped += requests
 	if tr := n.sim.Tracer(); tr.Enabled() {
@@ -1025,7 +1021,7 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 	// The engine detached the job before OnDone and every sample above
 	// copied what it needed, so both hot objects recycle here: the job
 	// immediately (pumpHeld may place with it), the batch via the spent
-	// buffer the root drains at the next dispatch barrier.
+	// buffer the root drains at the next dispatch tick.
 	n.spent = append(n.spent, b)
 	n.jobFree.Put(j)
 	n.pumpHeld()
@@ -1196,8 +1192,7 @@ func (n *node) resubmit(j *gpu.Job) {
 // serviceJitter samples the lognormal execution-time multiplier (unit
 // mean) modelling data-dependent batch variability. Each node draws
 // from its own derived stream, so the draw order is the node's own
-// placement order — independent of every other shard and of the
-// worker count.
+// placement order — independent of every other node.
 //
 //protean:hotpath
 func (n *node) serviceJitter() float64 {

@@ -84,7 +84,7 @@ func ReadLog(r io.Reader) ([]LogEntry, error) {
 // against the given options (WallNow is ignored; replay is manual-mode
 // by definition). With the same Seed the replayed plane makes the same
 // admission decisions and accrues the same usage as the live plane that
-// recorded the log — byte-identical, at any Shards value. The returned
+// recorded the log — byte-identical. The returned
 // plane is drained and its summary final.
 func Replay(opts Options, entries []LogEntry) (*Plane, *Summary, error) {
 	opts.WallNow = nil

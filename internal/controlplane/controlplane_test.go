@@ -8,8 +8,8 @@ import (
 	"protean/internal/obs"
 )
 
-func testOpts(shards int) Options {
-	return Options{Seed: 7, Nodes: 4, Shards: shards, KeepWarmDefault: 5}
+func testOpts() Options {
+	return Options{Seed: 7, Nodes: 4, KeepWarmDefault: 5}
 }
 
 func mustPlane(t *testing.T, opts Options) *Plane {
@@ -29,7 +29,7 @@ func register(t *testing.T, p *Plane, cfg TenantConfig) {
 }
 
 func TestPlaneServesAndMeters(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "acme", Model: "ResNet 18", Class: "gold"})
 
 	for i := 0; i < 20; i++ {
@@ -75,7 +75,7 @@ func TestPlaneServesAndMeters(t *testing.T) {
 }
 
 func TestRateLimitRejects(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "tiny", Model: "MobileNet", Class: "bronze", RatePerSec: 1, Burst: 2})
 
 	d1, err := p.IngestAt(0.1, "tiny", 2)
@@ -97,7 +97,7 @@ func TestRateLimitRejects(t *testing.T) {
 }
 
 func TestScaleToZeroAndWake(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "idler", Model: "BERT", Class: "silver", KeepWarmSeconds: 2})
 
 	if _, err := p.IngestAt(0.1, "idler", 3); err != nil {
@@ -193,13 +193,13 @@ func rollups(t *testing.T, p *Plane) string {
 	return buf.String()
 }
 
-// TestReplayDeterminismAcrossShards is the control plane's determinism
-// contract: replaying a recorded ingest log reproduces the live run's
-// admission decisions and usage rollups byte-for-byte, at any shard
-// worker count, even though the live run interleaved unlogged advances
-// (usage reads) that the replay never saw.
-func TestReplayDeterminismAcrossShards(t *testing.T) {
-	live := scriptedRun(t, testOpts(1), true)
+// TestReplayMatchesLive is the control plane's determinism contract:
+// replaying a recorded ingest log reproduces the live run's admission
+// decisions and usage rollups byte-for-byte, even though the live run
+// interleaved unlogged advances (usage reads) that the replay never
+// saw.
+func TestReplayMatchesLive(t *testing.T) {
+	live := scriptedRun(t, testOpts(), true)
 	if _, err := live.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -210,23 +210,18 @@ func TestReplayDeterminismAcrossShards(t *testing.T) {
 	if !strings.Contains(want, "tenant=bronze-idle") || !strings.Contains(want, "suspends=1") {
 		t.Fatalf("scripted run did not exercise suspend:\n%s", want)
 	}
-
-	for _, shards := range []int{1, 4} {
-		rp, _, err := Replay(testOpts(shards), log)
-		if err != nil {
-			t.Fatalf("Replay shards=%d: %v", shards, err)
-		}
-		got := rollups(t, rp)
-		if got != want {
-			t.Errorf("shards=%d replay rollups differ from live run:\n--- live ---\n%s--- replay ---\n%s",
-				shards, want, got)
-		}
+	rp, _, err := Replay(testOpts(), log)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if got := rollups(t, rp); got != want {
+		t.Errorf("replay rollups differ from live run:\n--- live ---\n%s--- replay ---\n%s", want, got)
 	}
 }
 
 func TestRegistryWiring(t *testing.T) {
 	reg := obs.NewRegistry()
-	opts := testOpts(1)
+	opts := testOpts()
 	opts.Registry = reg
 	p := mustPlane(t, opts)
 	register(t, p, TenantConfig{ID: "m", Model: "ResNet 18", Class: "gold"})
@@ -256,7 +251,7 @@ func TestRegistryWiring(t *testing.T) {
 }
 
 func TestLogRoundTrip(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "rt", Model: "MobileNet"})
 	if _, err := p.IngestAt(0.5, "rt", 3); err != nil {
 		t.Fatalf("ingest: %v", err)
@@ -275,7 +270,7 @@ func TestLogRoundTrip(t *testing.T) {
 }
 
 func TestMarketPlaneServesAndRollsUp(t *testing.T) {
-	opts := testOpts(1)
+	opts := testOpts()
 	opts.Market = true
 	p := mustPlane(t, opts)
 	register(t, p, TenantConfig{ID: "acme", Model: "ResNet 18", Class: "gold"})
@@ -324,7 +319,7 @@ func TestMarketPlaneServesAndRollsUp(t *testing.T) {
 }
 
 func TestMarketOffPlaneHasNoMarketSurface(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	quotes, err := p.MarketQuotes()
 	if err != nil {
 		t.Fatalf("MarketQuotes: %v", err)

@@ -175,7 +175,7 @@ func (p *Plane) usageLocked(t *tenant) Usage {
 
 // RenderRollups writes a fixed-format, byte-stable usage rollup for
 // every tenant plus the plane-wide decision fingerprint — the artifact
-// the determinism tests compare across shard counts and replays.
+// the determinism tests compare across live runs and replays.
 func (p *Plane) RenderRollups(w io.Writer) error {
 	usages, err := p.UsageAll()
 	if err != nil {

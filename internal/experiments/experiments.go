@@ -71,12 +71,6 @@ type Params struct {
 	// Results are merged by scenario index, so reports are byte-identical
 	// at every setting.
 	Parallel int
-	// Shards is the within-scenario shard worker count: how many OS
-	// goroutines advance a single scenario's per-node simulation lanes
-	// between barriers (default 1: phases run inline). The event
-	// schedule is shard-count-independent, so reports and traces are
-	// byte-identical at every setting.
-	Shards int
 	// Trace, when non-nil, collects lifecycle events from every
 	// scenario run. Collectors are registered in scenario order before
 	// any run starts, so the merged trace is byte-identical at every
@@ -123,9 +117,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
-	}
-	if p.Shards <= 0 {
-		p.Shards = 1
 	}
 	return p
 }
@@ -317,7 +308,6 @@ func buildScenarioCommon(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *s
 		chaosCfg = *sc.Chaos
 	}
 	s := sim.New(p.Seed)
-	s.SetWorkers(p.Shards)
 	if tr != nil {
 		s.SetTracer(tr)
 	}

@@ -53,8 +53,8 @@ func scaleRate(scale, duration float64) trace.RateFn {
 // concern).
 type ScaleCellResult struct {
 	Result *cluster.Result
-	// Events is the number of simulation events executed — identical at
-	// every shard count.
+	// Events is the number of simulation events executed, deterministic
+	// for a seed.
 	Events uint64
 }
 
@@ -87,9 +87,9 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 // 10×/100×/1000× of ScaleBaseRPS over a multi-day diurnal mix, each
 // cell streamed and sketched. The table reports only deterministic
 // quantities — request volumes, SLO attainment, sketch percentiles,
-// executed events — so the report is byte-identical across repeats and
-// shard counts; events/sec and peak heap are wall-clock measurements
-// and live in BENCH_PR9.json (make bench).
+// executed events — so the report is byte-identical across repeats;
+// events/sec and peak heap are wall-clock measurements and live in
+// BENCH_PR9.json (make bench).
 func ScaleSweep(p Params) (*Report, error) {
 	p = p.withDefaults()
 	if p.Duration <= 60 {

@@ -743,11 +743,11 @@ const DefaultReconfigDowntime = 2.0
 // NewGPU creates a GPU with the given initial geometry and sharing mode.
 //
 // Timer affinity: every timer the GPU schedules (job completions, the
-// reconfiguration downtime, slice accounting) lives on s. Under the
-// sharded cluster, s is the owning node's lane, which keeps all of one
-// node's events on one shard; callbacks therefore run in lane context
-// and must only touch that node's state — cross-node effects go through
-// root-scheduled events.
+// reconfiguration downtime, slice accounting) lives on s. In the
+// cluster, s is the owning node's lane, so all of one node's events
+// share the node's clock and tie-break rank; callbacks run in lane
+// context and must only touch that node's state — cross-node effects go
+// through root-scheduled events.
 func NewGPU(s *sim.Sim, id int, geom Geometry, mode SharingMode) (*GPU, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err

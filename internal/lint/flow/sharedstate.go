@@ -9,10 +9,9 @@ import (
 	"protean/internal/lint"
 )
 
-// sharedstateAnalyzer is the pre-flight shard-safety audit for ROADMAP
-// item 1: it computes which mutable state is written from code
-// reachable from more than one goroutine spawn site without
-// synchronization. Three kinds of write are flagged:
+// sharedstateAnalyzer is the concurrency-safety audit: it computes
+// which mutable state is written from code reachable from more than
+// one goroutine spawn site without synchronization. Three kinds of write are flagged:
 //
 //   - a package-level variable written from code whose goroutine spawn
 //     weight is >= 2 (one looped spawn counts twice: it stands for N

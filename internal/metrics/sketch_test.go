@@ -67,7 +67,7 @@ func TestSketchQuantileWithinAlpha(t *testing.T) {
 
 // TestSketchMergeOrderIndependent asserts a sketch assembled by any
 // insertion order, or by merging shards in any order, serialises to
-// identical bytes — the property the sharded event loop relies on.
+// identical bytes — the property the per-node recorder merge relies on.
 func TestSketchMergeOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]float64, 5000)
@@ -200,7 +200,7 @@ func TestSortCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestSketchRecorderMergesExact covers the shard-drain path at scale:
+// TestSketchRecorderMergesExact covers the per-node drain path at scale:
 // per-node exact recorders folded into a sketch-mode root.
 func TestSketchRecorderMergesExact(t *testing.T) {
 	root := NewSketchRecorder()

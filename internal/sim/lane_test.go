@@ -1,9 +1,10 @@
 package sim
 
-// Regression tests for the sharded event loop and the bugfixes that
-// shipped with it: the RunUntil clock clamp, the timerHeap.Push type
-// panic, Reschedule of a compacted-away timer, Ticker.Stop teardown,
-// and the Child stream-derivation contract the lanes are built on.
+// Tests for lanes — the event order across the root and its lanes,
+// per-lane clocks, lane streams — plus regression tests for the
+// RunUntil clock clamp, the timerHeap.Push type panic, Reschedule of a
+// compacted-away timer, Ticker.Stop teardown, and the Child
+// stream-derivation contract lanes are built on.
 
 import (
 	"fmt"
@@ -206,8 +207,8 @@ func TestChildStreamsStableAndIndependent(t *testing.T) {
 		t.Fatalf("child sequence shifted by parent activity: %v != %v", got, pristine)
 	}
 
-	// Lane creation (itself a Child derivation) must not shift it either
-	// — this is what makes draws identical across shard counts.
+	// Lane creation (itself a Child derivation) must not shift it
+	// either, so adding a node leaves every other stream untouched.
 	for _, lanes := range []int{1, 4} {
 		s := New(7)
 		for i := 0; i < lanes; i++ {
@@ -235,75 +236,126 @@ type collectTracer struct{ events []obs.Event }
 func (c *collectTracer) Enabled() bool     { return true }
 func (c *collectTracer) Emit(ev obs.Event) { c.events = append(c.events, ev) }
 
-// TestLanePhasesDeterministicAcrossWorkerCounts runs the same lane
-// workload inline and across a worker pool and asserts identical
-// merged traces, executed-event counts, and clocks. Lane events emit
-// through the lane's Tracer (buffered during phases, merged at the
-// barrier), which is the supported concurrency-safe path.
-func TestLanePhasesDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) ([]obs.Event, uint64, float64) {
-		s := New(3)
-		s.SetWorkers(workers)
-		tr := &collectTracer{}
-		s.SetTracer(tr)
-		lanes := make([]*Sim, 4)
-		for i := range lanes {
-			ln := s.Lane(fmt.Sprintf("node/%d", i))
-			lanes[i] = ln
-			// Self-rescheduling lane work with lane-local jitter, plus a
-			// trace event per firing.
-			var step func()
-			at := 0.1 * float64(i+1)
-			step = func() {
-				ev := obs.At(ln.Now(), obs.KindAdmit)
-				ev.Node = i
-				ln.Tracer().Emit(ev)
-				at += 0.2 + 0.05*ln.Rand().Float64()
-				if at < 10 {
-					ln.MustAfter(at-ln.Now(), step)
-				}
-			}
-			ln.MustAfter(at, step)
+// TestEqualTimeEventOrder pins the tie rule at one instant: the gateway
+// lane first, then node lanes in creation order, then the root, each
+// domain in scheduling order — whatever order the events were
+// scheduled in. A lane event a root event schedules for its own instant
+// still runs before the next root event at that instant. Trace events
+// arrive in the same order, so no merge step is needed.
+func TestEqualTimeEventOrder(t *testing.T) {
+	s := New(1)
+	tr := &collectTracer{}
+	s.SetTracer(tr)
+	gw := s.Lane("gateway")
+	n0 := s.Lane("node/0")
+	n1 := s.Lane("node/1")
+
+	var got []string
+	on := func(d *Sim, name string, node int) func() {
+		return func() {
+			got = append(got, name)
+			ev := obs.At(d.Now(), obs.KindDispatch)
+			ev.Node = node
+			ev.Detail = name
+			d.Tracer().Emit(ev)
 		}
-		// Root barrier events interleaved with the lane work.
-		ticks := 0
-		tick, err := s.Every(1, func() {
-			ticks++
-			ev := obs.At(s.Now(), obs.KindDispatch)
-			s.Tracer().Emit(ev)
-		})
-		if err != nil {
+	}
+	at := func(d *Sim, t0 float64, fn func()) {
+		t.Helper()
+		if _, err := d.At(t0, fn); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunUntil(10); err != nil {
-			t.Fatal(err)
-		}
-		tick.Stop()
-		for _, ln := range lanes {
-			if ln.Now() != 10 {
-				t.Fatalf("workers=%d: lane clock %v not synchronised to horizon", workers, ln.Now())
-			}
-		}
-		return tr.events, s.Executed(), s.Now()
+	}
+	// Scheduled in reverse of the expected order.
+	at(s, 1, on(s, "root-a", -1))
+	at(n1, 1, on(n1, "n1", 1))
+	at(n0, 1, on(n0, "n0-a", 0))
+	at(s, 1, on(s, "root-b", -1))
+	at(n0, 1, on(n0, "n0-b", 0))
+	at(gw, 1, on(gw, "gw", -1))
+	// At t=2 the first root event schedules a node-1 event for the same
+	// instant; it runs before the second root event there.
+	at(s, 2, func() {
+		on(s, "root-c", -1)()
+		at(n1, 2, on(n1, "n1-from-root", 1))
+	})
+	at(s, 2, on(s, "root-d", -1))
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 
-	wantEvents, wantExec, wantNow := run(1)
-	if len(wantEvents) == 0 || wantExec == 0 {
-		t.Fatal("inline run produced no events; the workload is vacuous")
+	want := []string{"gw", "n0-a", "n0-b", "n1", "root-a", "root-b", "root-c", "n1-from-root", "root-d"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("execution order %v, want %v", got, want)
 	}
-	for _, workers := range []int{2, 4} {
-		events, exec, now := run(workers)
-		if exec != wantExec || now != wantNow {
-			t.Fatalf("workers=%d: executed=%d now=%v, want %d and %v", workers, exec, now, wantExec, wantNow)
+	if len(tr.events) != len(want) {
+		t.Fatalf("%d trace events, want %d", len(tr.events), len(want))
+	}
+	for i, ev := range tr.events {
+		if ev.Detail != want[i] {
+			t.Fatalf("trace event %d = %q, want %q (trace order must be execution order)", i, ev.Detail, want[i])
 		}
-		if len(events) != len(wantEvents) {
-			t.Fatalf("workers=%d: %d trace events, want %d", workers, len(events), len(wantEvents))
+	}
+	if s.Executed() != uint64(len(want)) || gw.Executed() != s.Executed() {
+		t.Fatalf("Executed root=%d lane=%d, want %d for both", s.Executed(), gw.Executed(), len(want))
+	}
+}
+
+// TestLaneClockAfterRun pins per-lane clocks: after an unbounded Run a
+// lane's Now is the later of its own last event and the last root
+// event, and the root's is its own last event. A single global clock
+// would leave every domain at the last event overall — node/0 would
+// read 7 instead of 3, which is what moves a node's busy fraction and
+// utilisation (they divide by the node's own clock at drain). A
+// bounded RunUntil moves every domain to the horizon.
+func TestLaneClockAfterRun(t *testing.T) {
+	s := New(1)
+	n0 := s.Lane("node/0")
+	n1 := s.Lane("node/1")
+	n0.MustAfter(1, func() {})
+	s.MustAfter(3, func() {})
+	n1.MustAfter(7, func() {})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != 3 || n0.Now() != 3 || n1.Now() != 7 {
+		t.Fatalf("clocks root=%v node/0=%v node/1=%v, want 3, 3, 7", s.Now(), n0.Now(), n1.Now())
+	}
+	// Scheduling on a lane is relative to its own clock.
+	fired := 0.0
+	n1.MustAfter(1, func() { fired = n1.Now() })
+	if _, err := n1.At(6, func() {}); err == nil {
+		t.Fatal("lane accepted an event before its own clock")
+	}
+	if err := s.RunUntil(20); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 8 {
+		t.Fatalf("lane event after Run fired at %v, want 8", fired)
+	}
+	for name, d := range map[string]*Sim{"root": s, "node/0": n0, "node/1": n1} {
+		if d.Now() != 20 {
+			t.Fatalf("%s clock = %v after RunUntil(20), want 20", name, d.Now())
 		}
-		for i := range events {
-			if events[i] != wantEvents[i] {
-				t.Fatalf("workers=%d: trace event %d = %+v, want %+v", workers, i, events[i], wantEvents[i])
-			}
-		}
+	}
+}
+
+// TestLaneStreamLabel pins a lane's random stream to the
+// Rand().Child("lane/"+label) derivation; the seed and first draw are
+// the values that derivation has always produced, so per-node draws
+// keep their sequences.
+func TestLaneStreamLabel(t *testing.T) {
+	s := New(7)
+	s.Lane("gateway")
+	ln := s.Lane("node/3")
+	if got, want := ln.Rand().Seed(), New(7).Rand().Child("lane/node/3").Seed(); got != want {
+		t.Fatalf("lane seed %d, want Child(\"lane/node/3\") seed %d", got, want)
+	}
+	if got := ln.Rand().Seed(); got != 9408270547914406156 {
+		t.Fatalf("lane seed %d, want pinned 9408270547914406156", got)
+	}
+	if got := ln.Rand().Float64(); got != 0.39510702908757406 {
+		t.Fatalf("lane first draw %v, want pinned 0.39510702908757406", got)
 	}
 }
 

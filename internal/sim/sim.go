@@ -2,22 +2,21 @@
 //
 // All of PROTEAN's substrates (the GPU model, the cluster, the spot-VM
 // market) run in virtual time on top of this engine. Time is measured in
-// seconds as float64. Events scheduled for the same instant fire in the
-// order they were scheduled, which makes every experiment exactly
-// reproducible for a given seed.
+// seconds as float64. Events one domain (the root or a lane) schedules
+// for the same instant fire in the order they were scheduled, which
+// makes every experiment exactly reproducible for a given seed.
 //
-// # Sharded execution
+// # Event order
 //
-// A root simulation can host lanes (per-shard child simulations, see
-// Lane): each lane owns its own timer heap, clock, and derived random
-// stream, and lane events run independently between the root's events.
-// Every root event is a synchronisation barrier — lanes first execute
-// everything scheduled up to (and including) the root event's
-// timestamp, then the root event runs exclusively and may touch any
-// lane's state. The phase schedule, each lane's event order, and the
-// merged trace are all pure functions of the event timestamps, so the
-// output is byte-identical whether phases run inline (SetWorkers(1))
-// or across a worker pool (SetWorkers(n)).
+// A root simulation can host lanes (see Lane): named clock and
+// tie-break domains, one per cluster node plus the gateway. Every
+// timer, on the root or on any lane, sits in the root's single heap
+// ordered by (time, rank, sequence): a lane's rank is its creation
+// index and the root ranks after every lane, so at one instant lane
+// events run before root events and lanes run in creation order. The
+// sequence number is one counter shared by all domains. Each lane
+// keeps its own clock (see Now), so per-node time integrals end at the
+// node's own last event.
 package sim
 
 import (
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"protean/internal/obs"
 )
@@ -55,11 +53,10 @@ func (st *Stream) Seed() uint64 { return st.seed }
 // seed is a splitmix64 finalizer over the parent seed XOR an FNV-1a
 // hash of the label, so derivation consumes nothing from the parent
 // stream: a child's values depend only on (root seed, derivation
-// labels), never on how many draws the parent made, how many shards
-// the run uses, or in what order sibling subsystems were built. This
-// is the blessed pattern for giving a subsystem its own stream —
-// derive once at construction, store the child, and never touch the
-// shared parent again.
+// labels), never on how many draws the parent made or in what order
+// sibling subsystems were built. This is the blessed pattern for
+// giving a subsystem its own stream — derive once at construction,
+// store the child, and never touch the shared parent again.
 func (st *Stream) Child(label string) *Stream {
 	return newStream(splitmix64(st.seed ^ fnv64(label)))
 }
@@ -89,11 +86,12 @@ func fnv64(s string) uint64 {
 // replacement.
 type Timer struct {
 	at        float64
+	rank      int // owning domain's rank; see timerHeap
 	seq       uint64
 	fn        func()
 	index     int // heap index; -1 when not queued
 	cancelled bool
-	sim       *Sim
+	sim       *Sim // owning domain: the root or one of its lanes
 }
 
 // At reports the virtual time the timer is scheduled to fire at.
@@ -116,8 +114,9 @@ func (t *Timer) Cancel() bool {
 	}
 	t.cancelled = true
 	if t.sim != nil {
-		t.sim.active--
-		t.sim.maybeCompact()
+		r := t.sim.root
+		r.active--
+		r.maybeCompact()
 	}
 	return true
 }
@@ -126,157 +125,120 @@ func (t *Timer) Cancel() bool {
 // its callback but receives a fresh sequence number, so its tie-break
 // behaviour at an already-populated instant is identical to cancelling it
 // and scheduling a new timer there: it fires after every event already
-// scheduled for the same time. A fired or cancelled timer is re-armed.
-// Unlike the cancel-and-reallocate pattern, the heap entry is updated in
-// place (container/heap.Fix), so the hot rebalance path allocates
-// nothing and leaves no dead timers behind.
+// scheduled for the same time in its domain. A fired or cancelled timer
+// is re-armed. Unlike the cancel-and-reallocate pattern, the heap entry
+// is updated in place (container/heap.Fix), so the hot rebalance path
+// allocates nothing and leaves no dead timers behind.
 //
 //protean:hotpath
 func (t *Timer) Reschedule(at float64) error {
 	if t == nil || t.sim == nil || t.fn == nil {
 		return errors.New("sim: reschedule of a timer not created by this simulation")
 	}
-	s := t.sim
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		return fmt.Errorf("sim: reschedule at non-finite time %v", at)
 	}
-	if at < s.now {
-		return fmt.Errorf("sim: reschedule at %.9f before now %.9f", at, s.now)
+	if now := t.sim.Now(); at < now {
+		return fmt.Errorf("sim: reschedule at %.9f before now %.9f", at, now)
 	}
+	r := t.sim.root
 	wasPending := !t.cancelled && t.index >= 0
 	t.at = at
-	t.seq = s.seq
-	s.seq++
+	t.seq = r.seq
+	r.seq++
 	t.cancelled = false
 	if t.index >= 0 {
-		heap.Fix(&s.queue, t.index)
+		heap.Fix(&r.queue, t.index)
 	} else {
-		heap.Push(&s.queue, t)
+		heap.Push(&r.queue, t)
 	}
 	if !wasPending {
-		s.active++
+		r.active++
 	}
 	return nil
 }
 
+// rootRank is the root's tie-break rank: after every lane.
+const rootRank = math.MaxInt
+
 // Sim is a discrete-event simulator. The zero value is not usable; use New.
 type Sim struct {
-	now      float64
+	now  float64 // this domain's clock; see Now
+	rng  *Stream
+	root *Sim // the root itself on a root
+	rank int
+
+	// Root-only: the event heap and run state every lane shares.
 	seq      uint64
 	queue    timerHeap
 	active   int // queued timers that are not cancelled; keeps Pending O(1)
-	rng      *Stream
 	stopped  bool
 	tracer   obs.Tracer
-	executed uint64 // events run by this sim's own loop (excludes lanes)
-
-	// Sharded execution. A root sim owns lanes; a lane points back at
-	// its root through parent and never has lanes of its own.
-	parent  *Sim
-	label   string
-	lanes   []*Sim
-	workers int
-
-	// Root-only phase machinery.
-	inPhase     bool // a lane phase is executing; lane tracers buffer
-	pool        *workerPool
-	phaseActive []*Sim
-	evScratch   []obs.Event
-
-	// Lane-only phase machinery: buffered trace events and the reusable
-	// phase thunk the worker pool runs (opaque to the pool, so lane
-	// execution stays off every goroutine's static callgraph).
-	buf   []obs.Event
-	bound float64
-	thunk func()
+	executed uint64
+	lanes    int // lanes created so far; the next lane's rank
 }
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{rng: newStream(uint64(seed)), workers: 1}
+	s := &Sim{rng: newStream(uint64(seed)), rank: rootRank}
+	s.root = s
+	return s
 }
 
 // SetTracer installs the observability tracer every component driven by
 // this simulation emits lifecycle events to. A nil tracer restores the
 // no-op default. The tracer is a pure observer: it must not schedule
 // events, draw randomness, or otherwise influence the run.
-func (s *Sim) SetTracer(t obs.Tracer) { s.tracer = t }
+func (s *Sim) SetTracer(t obs.Tracer) { s.root.tracer = t }
 
 // Tracer returns the installed tracer, or the no-op tracer when none is
 // installed. Components hold a *Sim already, so this is how the tracer
 // threads through gpu, queue, cluster, vm and autoscale without each
-// layer growing a configuration knob. On a lane the returned tracer
-// routes to the root: buffered during a lane phase (merged in
-// deterministic (time, lane, emission) order at the next barrier) and
-// passed straight through when the root is executing exclusively.
+// layer growing a configuration knob. Lanes share their root's tracer,
+// so events arrive in execution order: (time, rank, emission).
 func (s *Sim) Tracer() obs.Tracer {
-	if s.parent != nil {
-		return laneTracer{ln: s}
+	if t := s.root.tracer; t != nil {
+		return t
 	}
-	if s.tracer == nil {
-		return obs.Nop()
-	}
-	return s.tracer
+	return obs.Nop()
 }
 
-// Now returns the current virtual time in seconds.
-func (s *Sim) Now() float64 { return s.now }
+// Now returns the current virtual time in seconds. On the root that is
+// the time of the last root event or RunUntil horizon. On a lane it is
+// the later of the lane's own last event and the root's clock: lane
+// events do not move other domains' clocks, so quantities a node
+// integrates over its own time (GPU busy fraction, utilisation) end at
+// the node's last event after an unbounded Run.
+func (s *Sim) Now() float64 {
+	if r := s.root.now; r > s.now {
+		return r
+	}
+	return s.now
+}
 
 // Rand returns the simulation's deterministic random stream. Subsystems
 // must not draw from it directly once the run starts — derive a child
 // with Rand().Child(label) at construction instead, so draw order stays
-// confined to one owner and sharded lanes cannot reorder it.
+// confined to one owner.
 func (s *Sim) Rand() *Stream { return s.rng }
 
-// Executed returns the number of events executed so far, including
-// every lane's events. This is the numerator of the events/sec
+// Executed returns the number of events the simulation has executed,
+// every lane's included. This is the numerator of the events/sec
 // benchmark metric.
-func (s *Sim) Executed() uint64 {
-	n := s.executed
-	for _, ln := range s.lanes {
-		n += ln.executed
-	}
-	return n
-}
+func (s *Sim) Executed() uint64 { return s.root.executed }
 
-// Lane creates a child simulation (a shard) on the root s. A lane owns
-// its own clock, timer heap, sequence counter, and a random stream
-// derived as Rand().Child("lane/"+label) — stable across shard counts.
-// Lanes advance between the root's events (see RunUntil); code running
-// on a lane must only touch that lane's state, while root events run
-// exclusively and may touch any lane. Lanes cannot be nested.
+// Lane creates a clock and tie-break domain on the root s. Its timers
+// share the root's heap and rank after lanes created earlier (see the
+// package comment); its random stream is Rand().Child("lane/"+label).
+// Lanes cannot be nested.
 func (s *Sim) Lane(label string) *Sim {
-	if s.parent != nil {
+	if s.root != s {
 		panic("sim: lanes cannot be nested")
 	}
-	ln := &Sim{
-		rng:     s.rng.Child("lane/" + label),
-		now:     s.now,
-		parent:  s,
-		label:   label,
-		workers: 1,
-	}
-	ln.thunk = func() { ln.runTo(ln.bound) }
-	s.lanes = append(s.lanes, ln)
+	ln := &Sim{rng: s.rng.Child("lane/" + label), root: s, rank: s.lanes}
+	s.lanes++
 	return ln
 }
-
-// Lanes returns the root's lanes in creation order.
-func (s *Sim) Lanes() []*Sim { return s.lanes }
-
-// SetWorkers sets how many OS goroutines execute lane phases: 1 runs
-// every phase inline on the caller's goroutine, n > 1 fans independent
-// lanes across n workers. The schedule, the per-lane event order, and
-// the merged trace do not depend on the setting — only wall clock does.
-func (s *Sim) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
-
-// Workers returns the lane-phase worker count.
-func (s *Sim) Workers() int { return s.workers }
 
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error; scheduling exactly at Now is allowed and fires before time
@@ -285,17 +247,18 @@ func (s *Sim) At(t float64, fn func()) (*Timer, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, fmt.Errorf("sim: schedule at non-finite time %v", t)
 	}
-	if t < s.now {
-		return nil, fmt.Errorf("sim: schedule at %.9f before now %.9f", t, s.now)
+	if now := s.Now(); t < now {
+		return nil, fmt.Errorf("sim: schedule at %.9f before now %.9f", t, now)
 	}
 	if fn == nil {
 		return nil, errors.New("sim: schedule nil func")
 	}
+	r := s.root
 	//lint:ignore hotalloc the Timer is the event being created; hot callers (gpu rebalance) reuse timers via Reschedule and only reach this for newly started jobs
-	tm := &Timer{at: t, seq: s.seq, fn: fn, index: -1, sim: s}
-	s.seq++
-	heap.Push(&s.queue, tm)
-	s.active++
+	tm := &Timer{at: t, rank: s.rank, seq: r.seq, fn: fn, index: -1, sim: s}
+	r.seq++
+	heap.Push(&r.queue, tm)
+	r.active++
 	return tm, nil
 }
 
@@ -305,7 +268,7 @@ func (s *Sim) After(d float64, fn func()) (*Timer, error) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, fn)
+	return s.At(s.Now()+d, fn)
 }
 
 // MustAfter is After for callers that schedule with non-negative, finite
@@ -324,20 +287,15 @@ func (s *Sim) MustAfter(d float64, fn func()) *Timer {
 // return ErrStopped before executing any event; the stop is consumed
 // either way, so a subsequent run resumes normally. Stopping a lane
 // stops its root.
-func (s *Sim) Stop() {
-	if s.parent != nil {
-		s.parent.Stop()
-		return
-	}
-	s.stopped = true
-}
+func (s *Sim) Stop() { s.root.stopped = true }
 
-// Pending returns the number of queued (uncancelled) events. The count
-// is maintained incrementally on every push, pop and cancel, so this is
-// O(1) — it also drives the opportunistic heap compaction below.
+// Pending returns the number of queued (uncancelled) events in the
+// whole simulation, lanes included. The count is maintained
+// incrementally on every push, pop and cancel, so this is O(1) — it
+// also drives the opportunistic heap compaction below.
 //
 //protean:hotpath
-func (s *Sim) Pending() int { return s.active }
+func (s *Sim) Pending() int { return s.root.active }
 
 // compactMinLen is the heap size below which compaction never triggers:
 // lazy deletion on a tiny heap is already cheap, and rebuilding it would
@@ -349,8 +307,8 @@ const compactMinLen = 32
 // cleanup strategy. Sustained cancel/reschedule load therefore keeps
 // the heap within 2× the live timer count instead of growing without
 // bound until lazy deletion catches up. Rebuilding via heap.Init is
-// safe for determinism: the (time, sequence) order is total, so the
-// pop sequence is independent of the heap's internal layout.
+// safe for determinism: the (time, rank, sequence) order is total, so
+// the pop sequence is independent of the heap's internal layout.
 //
 //protean:hotpath
 func (s *Sim) maybeCompact() {
@@ -379,37 +337,24 @@ func (s *Sim) maybeCompact() {
 // returns ErrStopped in the latter case.
 func (s *Sim) Run() error { return s.RunUntil(math.Inf(1)) }
 
-// RunUntil executes events with timestamps <= horizon, advancing the clock
-// as it goes. When it returns the clock is at min(horizon, last event time)
-// unless the queue drained earlier; the clock never moves backwards, so a
-// horizon already in the past leaves it untouched. It returns ErrStopped
-// if Stop was called, including a Stop issued before the run started (in
-// which case no event executes); the stop is consumed, so a later run
-// proceeds.
-//
-// With lanes present, RunUntil alternates lane phases and root events:
-// before each root event at time t, every lane executes all of its
-// events with timestamps <= t (lanes are mutually independent, so
-// phases may fan out across SetWorkers goroutines), lane clocks are
-// synchronised to t, and then the root event runs exclusively. Lane
-// events at exactly the root's timestamp therefore run before the root
-// event — a fixed, documented tie rule.
+// RunUntil executes events with timestamps <= horizon, root and lane
+// events alike, in (time, rank, sequence) order; each event advances
+// its own domain's clock. A finite horizon then becomes the root clock,
+// and so the floor of every lane's Now, unless the root clock is
+// already past it: the clock never moves backwards. It returns
+// ErrStopped if Stop was called, including a Stop issued before the run
+// started (in which case no event executes); the stop is consumed, so
+// a later run proceeds. Stop takes effect after the current event,
+// lane events included. Lanes are driven by their root: RunUntil on a
+// lane is an error.
 func (s *Sim) RunUntil(horizon float64) error {
-	if s.parent != nil {
+	if s.root != s {
 		return errors.New("sim: lanes are driven by their root simulation")
 	}
 	if s.stopped {
 		s.stopped = false
 		return ErrStopped
 	}
-	if len(s.lanes) == 0 {
-		return s.runLocal(horizon)
-	}
-	return s.runSharded(horizon)
-}
-
-// runLocal is the classic single-heap event loop.
-func (s *Sim) runLocal(horizon float64) error {
 	for len(s.queue) > 0 {
 		if s.stopped {
 			s.stopped = false
@@ -421,14 +366,11 @@ func (s *Sim) runLocal(horizon float64) error {
 			continue
 		}
 		if next.at > horizon {
-			if horizon > s.now {
-				s.now = horizon
-			}
-			return nil
+			break
 		}
 		heap.Pop(&s.queue)
 		s.active--
-		s.now = next.at
+		next.sim.now = next.at
 		s.executed++
 		next.fn()
 	}
@@ -437,207 +379,6 @@ func (s *Sim) runLocal(horizon float64) error {
 	}
 	return nil
 }
-
-// runSharded is the lane-aware loop documented on RunUntil.
-func (s *Sim) runSharded(horizon float64) error {
-	if s.workers > 1 && s.pool == nil {
-		// The pool is scoped to one run so idle sims hold no goroutines;
-		// channel capacities cover every lane so a phase can enqueue all
-		// of its work without anyone blocking on a full buffer.
-		s.pool = newWorkerPool(s.workers-1, len(s.lanes))
-		defer func() {
-			s.pool.close()
-			s.pool = nil
-		}()
-	}
-	for {
-		if s.stopped {
-			s.stopped = false
-			return ErrStopped
-		}
-		rootNext := s.peekTime()
-		s.runLanePhase(math.Min(rootNext, horizon))
-		if rootNext > horizon {
-			if !math.IsInf(horizon, 1) && horizon > s.now {
-				s.now = horizon
-			}
-			return nil
-		}
-		if math.IsInf(rootNext, 1) {
-			// horizon and the root queue are both infinite/exhausted: the
-			// lane phase above drained every lane completely.
-			return nil
-		}
-		next := heap.Pop(&s.queue).(*Timer)
-		s.active--
-		s.now = next.at
-		s.executed++
-		next.fn()
-	}
-}
-
-// peekTime returns the timestamp of the next live event, discarding
-// cancelled heap heads, or +Inf when none remain.
-func (s *Sim) peekTime() float64 {
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.cancelled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return next.at
-	}
-	return math.Inf(1)
-}
-
-// runLanePhase executes every lane event with timestamp <= bound and
-// then synchronises lane clocks to bound. Lanes are independent, so
-// when a pool exists the phase fans out; results are identical either
-// way because each lane's events run sequentially on exactly one
-// goroutine and lanes share no state until the next barrier.
-func (s *Sim) runLanePhase(bound float64) {
-	active := s.phaseActive[:0]
-	for _, ln := range s.lanes {
-		if ln.peekTime() <= bound {
-			active = append(active, ln)
-		}
-	}
-	s.phaseActive = active[:0]
-	if len(active) > 0 {
-		s.inPhase = true
-		if s.pool != nil && len(active) > 1 {
-			for _, ln := range active[1:] {
-				ln.bound = bound
-				s.pool.submit(ln.thunk)
-			}
-			active[0].bound = bound
-			active[0].thunk()
-			s.pool.wait(len(active) - 1)
-		} else {
-			for _, ln := range active {
-				ln.runTo(bound)
-			}
-		}
-		s.inPhase = false
-		s.flushLaneEvents()
-	}
-	if !math.IsInf(bound, 1) {
-		for _, ln := range s.lanes {
-			if ln.now < bound {
-				ln.now = bound
-			}
-		}
-	}
-}
-
-// runTo executes the lane's events with timestamps <= bound. No stop
-// check: lanes are halted at the next barrier by the root loop.
-func (ln *Sim) runTo(bound float64) {
-	for len(ln.queue) > 0 {
-		next := ln.queue[0]
-		if next.cancelled {
-			heap.Pop(&ln.queue)
-			continue
-		}
-		if next.at > bound {
-			return
-		}
-		heap.Pop(&ln.queue)
-		ln.active--
-		ln.now = next.at
-		ln.executed++
-		next.fn()
-	}
-}
-
-// flushLaneEvents merges the trace events lanes buffered during the
-// phase into the root tracer in (time, lane index, emission order) —
-// a total order independent of how the phase was scheduled. Each
-// lane's buffer is already time-sorted (lanes execute in time order),
-// so a stable sort over the index-ordered concatenation realises the
-// merge.
-func (s *Sim) flushLaneEvents() {
-	if s.tracer == nil || !s.tracer.Enabled() {
-		return
-	}
-	total := 0
-	for _, ln := range s.lanes {
-		total += len(ln.buf)
-	}
-	if total == 0 {
-		return
-	}
-	merged := s.evScratch[:0]
-	for _, ln := range s.lanes {
-		merged = append(merged, ln.buf...)
-		ln.buf = ln.buf[:0]
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].T < merged[j].T })
-	for i := range merged {
-		s.tracer.Emit(merged[i])
-	}
-	s.evScratch = merged[:0]
-}
-
-// laneTracer routes a lane's trace events to the root tracer: buffered
-// while a lane phase is executing (many lanes emit concurrently; the
-// root merges deterministically at the barrier), passed straight
-// through in root context where emission order is already the global
-// event order.
-type laneTracer struct{ ln *Sim }
-
-func (lt laneTracer) Enabled() bool {
-	root := lt.ln.parent
-	return root.tracer != nil && root.tracer.Enabled()
-}
-
-func (lt laneTracer) Emit(ev obs.Event) {
-	root := lt.ln.parent
-	if root.inPhase {
-		lt.ln.buf = append(lt.ln.buf, ev)
-		return
-	}
-	root.Tracer().Emit(ev)
-}
-
-// workerPool runs opaque thunks across a fixed set of goroutines. The
-// thunks a phase submits are closures over disjoint lanes, and the
-// submit/wait channel pair carries the happens-before edges that make
-// each phase a fork-join region.
-type workerPool struct {
-	tasks chan func()
-	done  chan struct{}
-}
-
-// newWorkerPool starts n workers; cap bounds how many tasks can be in
-// flight, sized so submit and done never block each other.
-func newWorkerPool(n, cap int) *workerPool {
-	if cap < n {
-		cap = n
-	}
-	p := &workerPool{tasks: make(chan func(), cap), done: make(chan struct{}, cap)}
-	for i := 0; i < n; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *workerPool) worker() {
-	for f := range p.tasks {
-		f()
-		p.done <- struct{}{}
-	}
-}
-
-func (p *workerPool) submit(f func()) { p.tasks <- f }
-
-func (p *workerPool) wait(n int) {
-	for i := 0; i < n; i++ {
-		<-p.done
-	}
-}
-
-func (p *workerPool) close() { close(p.tasks) }
 
 // Ticker invokes a function on a fixed period until stopped.
 type Ticker struct {
@@ -687,7 +428,8 @@ func (t *Ticker) Stop() {
 	t.fireNext = nil
 }
 
-// timerHeap orders timers by (time, sequence).
+// timerHeap orders timers by (time, rank, sequence): at one instant,
+// lanes in creation order and then the root, each in scheduling order.
 type timerHeap []*Timer
 
 var _ heap.Interface = (*timerHeap)(nil)
@@ -698,6 +440,9 @@ func (h timerHeap) Less(i, j int) bool {
 	//lint:ignore floateq exact tie-break: an epsilon would merge distinct event times and reorder the queue
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
+	}
+	if h[i].rank != h[j].rank {
+		return h[i].rank < h[j].rank
 	}
 	return h[i].seq < h[j].seq
 }
