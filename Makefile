@@ -34,27 +34,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Run the hot-path benchmarks and regenerate BENCH_PR4.json, joining the
-# fresh numbers against the recorded pre-optimization run in
-# bench/baseline.txt (speedup = baseline ns/op ÷ current ns/op), then
-# the million-user scale cells into BENCH_PR9.json (events/sec and
-# peak-heap-MB per scale; the 100x cell fails outright above the pinned
-# heap ceiling), then the marketplace price-tick hot path into
-# BENCH_PR10.json (ns per tick across the 3-provider catalog with bound
-# leases; the tick must stay allocation-free).
+# Run the hot-path benchmarks (GPU engine, event core, scenarios,
+# market tick), then the million-user scale cells once each; the 100x
+# cell fails outright above the pinned heap ceiling. End-to-end numbers
+# with regression bounds come from perfbench (see perfbench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -skip 'BenchmarkScaleCell' \
-		./internal/gpu ./internal/sim ./internal/experiments \
-		| $(GO) run ./cmd/protean-benchjson -baseline bench/baseline.txt -o BENCH_PR4.json
-	@echo wrote BENCH_PR4.json
+		./internal/gpu ./internal/sim ./internal/experiments ./internal/market
 	$(GO) test -run '^$$' -bench BenchmarkScaleCell -benchtime 1x \
-		./internal/experiments \
-		| $(GO) run ./cmd/protean-benchjson -o BENCH_PR9.json
-	@echo wrote BENCH_PR9.json
-	$(GO) test -run '^$$' -bench BenchmarkMarketTick -benchmem \
-		./internal/market \
-		| $(GO) run ./cmd/protean-benchjson -o BENCH_PR10.json
-	@echo wrote BENCH_PR10.json
+		./internal/experiments
 
 # Smoke-run a pair of cheap experiments through the parallel scenario
 # runner; CI uses this to catch runner regressions end to end.

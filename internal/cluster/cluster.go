@@ -206,10 +206,29 @@ type Cluster struct {
 	// AdvanceTo/Drain instead of Run.
 	live bool
 
-	// Oracle support: per-window upcoming BE load, precomputed from the
-	// full trace.
-	windowBEBatches []int
-	windowBEMem     []float64
+	// Batch-run arrival path (Run): the source, its horizon, and the
+	// FIFO of requests pulled but not yet pumped. Arrivals are checked
+	// for order as they are pulled; a bad source sets srcErr.
+	src      trace.Source
+	horizon  float64
+	arrivals []trace.Request
+	head     int // arrivals[head:] are pending
+	srcDone  bool
+	srcErr   error
+	// lastArrival and lastWindow describe the newest pulled request.
+	lastArrival float64
+	lastWindow  int
+	// The Oracle's upcoming best-effort load, folded at pull time: the
+	// window of the newest pulled BE request, and the BE window before it.
+	beOpen, beClosed beWindow
+}
+
+// beWindow is one monitor window's best-effort arrivals.
+type beWindow struct {
+	idx   int
+	reqs  int
+	batch int     // batch size of the window's first BE model
+	memGB float64 // partial-slice footprint of its last BE model
 }
 
 var (
@@ -353,9 +372,6 @@ func (c *Cluster) PoolStats() pool.Stats {
 	return st
 }
 
-// Submit feeds one request into the gateway.
-func (c *Cluster) Submit(req trace.Request) error { return c.batcher.Add(req) }
-
 // Result summarizes a completed run.
 type Result struct {
 	// Recorder holds every latency sample.
@@ -400,84 +416,43 @@ type Result struct {
 	Migrations int
 }
 
-// Run replays a materialised request trace and drains the system.
-// duration is the trace horizon; requests beyond it are ignored. The
-// slice is adapted into the same pull-based pump RunStream uses, so
-// both paths schedule byte-identically.
-func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
+// Run replays src's arrivals before the horizon duration, then drains
+// the system. One self-rescheduling gateway timer pumps the arrivals:
+// each executes as its own event at its own timestamp, and the timer
+// takes the next one from the pulled-ahead FIFO or, when that is empty,
+// from src. The monitor pulls ahead too (lookahead), so src is read
+// exactly once and never more than two monitor windows ahead. Run
+// fails if src yields an arrival earlier than the one before it.
+func (c *Cluster) Run(src trace.Source, duration float64) (*Result, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("cluster: duration %v must be positive", duration)
 	}
-	c.precomputeWindows(reqs, duration)
-
-	if !sort.SliceIsSorted(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival }) {
-		sorted := make([]trace.Request, len(reqs))
-		copy(sorted, reqs)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Arrival < sorted[j].Arrival })
-		reqs = sorted
+	if src == nil {
+		return nil, errors.New("cluster: nil arrival source")
 	}
-	n := sort.Search(len(reqs), func(i int) bool { return reqs[i].Arrival >= duration })
-	idx := 0
-	return c.runPump(func() (trace.Request, bool) {
-		if idx >= n {
-			return trace.Request{}, false
-		}
-		r := reqs[idx]
-		idx++
-		return r, true
-	}, duration)
-}
-
-// RunStream replays a pull-based arrival stream without ever
-// materialising it: peak memory is independent of the request count.
-// Arrivals at or past the horizon end the pump. Policies needing the
-// Oracle's ground-truth window loads must call PrecomputeOracle with an
-// independent same-config stream first; all other policies ignore the
-// window arrays, so skipping it changes nothing.
-func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error) {
-	if duration <= 0 {
-		return nil, fmt.Errorf("cluster: duration %v must be positive", duration)
-	}
-	if st == nil {
-		return nil, errors.New("cluster: nil stream")
-	}
-	return c.runPump(func() (trace.Request, bool) {
-		r, ok := st.Next()
-		if !ok || r.Arrival >= duration {
-			return trace.Request{}, false
-		}
-		return r, true
-	}, duration)
-}
-
-// runPump starts the arrival pump over a pull-based request source and
-// runs the simulation to the horizon. One self-rescheduling timer pulls
-// the next arrival after pumping the current one, so the gateway's heap
-// stays shallow and allocation-free no matter how large the trace is,
-// while each arrival still executes as its own event at its own
-// timestamp (batching behaviour is unchanged from the sorted-slice
-// walk).
-func (c *Cluster) runPump(next func() (trace.Request, bool), duration float64) (*Result, error) {
+	c.src, c.horizon = src, duration
+	c.lastArrival = math.Inf(-1)
+	c.beOpen.idx, c.beClosed.idx = -1, -1
 	if c.fleet != nil {
 		if err := c.fleet.Start(); err != nil {
 			return nil, err
 		}
 	}
-	if cur, ok := next(); ok {
+	if c.pull() {
 		var pump *sim.Timer
 		var err error
-		pump, err = c.gateway.At(cur.Arrival, func() {
+		pump, err = c.gateway.At(c.arrivals[c.head].Arrival, func() {
+			cur := c.arrivals[c.head]
+			c.head++
 			c.offered++
 			if err := c.batcher.Add(cur); err != nil {
 				c.dropped++
 			}
-			nxt, ok := next()
-			if !ok {
+			if c.head == len(c.arrivals) && !c.pull() {
 				return
 			}
-			cur = nxt
-			if err := pump.Reschedule(nxt.Arrival); err != nil {
-				panic(err) // unreachable: arrivals are sorted, so never in the past
+			if err := pump.Reschedule(c.arrivals[c.head].Arrival); err != nil {
+				c.fail(err)
 			}
 		})
 		if err != nil {
@@ -487,11 +462,80 @@ func (c *Cluster) runPump(next func() (trace.Request, bool), duration float64) (
 	if err := c.startControl(); err != nil {
 		return nil, err
 	}
-
 	if err := c.sim.RunUntil(duration); err != nil {
+		if c.srcErr != nil {
+			return nil, c.srcErr
+		}
 		return nil, err
 	}
 	return c.drainAll(duration)
+}
+
+// pull reads the next arrival from the source into the FIFO and folds
+// it into the Oracle's window counts. It reports false once the source
+// is exhausted, reaches the horizon, or has failed.
+func (c *Cluster) pull() bool {
+	if c.srcDone {
+		return false
+	}
+	r, ok := c.src.Next()
+	if !ok || r.Arrival >= c.horizon {
+		c.srcDone = true
+		return false
+	}
+	if !(r.Arrival >= c.lastArrival) {
+		c.fail(fmt.Errorf("cluster: arrival %v of request %d is before the previous arrival %v",
+			r.Arrival, r.ID, c.lastArrival))
+		return false
+	}
+	c.lastArrival = r.Arrival
+	c.lastWindow = int(r.Arrival / c.cfg.MonitorInterval)
+	if !r.Strict {
+		if c.lastWindow != c.beOpen.idx {
+			c.beClosed = c.beOpen
+			c.beOpen = beWindow{idx: c.lastWindow, batch: r.Model.BatchSize()}
+		}
+		c.beOpen.reqs++
+		c.beOpen.memGB = r.Model.MemGB(gpu.Profile3g)
+	}
+	if c.head > 0 && len(c.arrivals) == cap(c.arrivals) {
+		// Compact the consumed prefix instead of growing: the FIFO holds
+		// at most two monitor windows of arrivals.
+		n := copy(c.arrivals, c.arrivals[c.head:])
+		c.arrivals = c.arrivals[:n]
+		c.head = 0
+	}
+	c.arrivals = append(c.arrivals, r)
+	return true
+}
+
+// fail aborts the run: no further arrivals are pulled and the
+// simulation stops after the current event, so Run returns err.
+func (c *Cluster) fail(err error) {
+	c.srcDone = true
+	c.srcErr = err
+	c.sim.Stop()
+}
+
+// upcomingBE pulls ahead until window w holds every arrival it will
+// get, then returns its best-effort load: per-node batches and the
+// per-batch partial-slice footprint (the Oracle's perfect prediction).
+// Without a batch source (live serving) the load is zero.
+func (c *Cluster) upcomingBE(w int) (batches int, memGB float64) {
+	if c.src == nil {
+		return 0, 0
+	}
+	for c.lastWindow <= w && c.pull() {
+	}
+	win := c.beOpen
+	if win.idx != w {
+		win = c.beClosed
+	}
+	if win.idx != w {
+		return 0, 0
+	}
+	perNode := int(math.Ceil(float64(win.reqs) / float64(win.batch) / float64(c.cfg.Nodes)))
+	return perNode, win.memGB
 }
 
 // startControl starts the chaos schedule and the dispatch/monitor
@@ -618,69 +662,6 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 	}, nil
 }
 
-// precomputeWindows derives per-monitor-window upcoming BE load for the
-// Oracle's perfect predictions from a materialised trace.
-func (c *Cluster) precomputeWindows(reqs []trace.Request, duration float64) {
-	add, finish := c.windowAccumulator(duration)
-	for _, r := range reqs {
-		add(r)
-	}
-	finish()
-}
-
-// PrecomputeOracle derives the Oracle's per-window BE load by draining
-// an independent arrival stream — one with the identical trace config
-// as the stream later passed to RunStream — in O(windows) memory.
-// Only policies consuming the Oracle's ground-truth window view need
-// this; every other policy ignores the window arrays.
-func (c *Cluster) PrecomputeOracle(st *trace.Stream, duration float64) {
-	add, finish := c.windowAccumulator(duration)
-	for {
-		r, ok := st.Next()
-		if !ok {
-			break
-		}
-		add(r)
-	}
-	finish()
-}
-
-// windowAccumulator returns the per-request fold and the finalizer
-// behind both oracle precompute paths: add bins BE arrivals into
-// monitor windows, finish converts per-window request counts into
-// per-node batch counts.
-func (c *Cluster) windowAccumulator(duration float64) (add func(trace.Request), finish func()) {
-	w := c.cfg.MonitorInterval
-	n := int(duration/w) + 2
-	c.windowBEBatches = make([]int, n)
-	c.windowBEMem = make([]float64, n)
-	beReqs := make([]int, n)
-	add = func(r trace.Request) {
-		if r.Strict || r.Arrival >= duration {
-			return
-		}
-		idx := int(r.Arrival / w)
-		if idx >= n {
-			return
-		}
-		beReqs[idx]++
-		c.windowBEMem[idx] = r.Model.MemGB(gpu.Profile3g)
-		if c.windowBEBatches[idx] == 0 {
-			c.windowBEBatches[idx] = r.Model.BatchSize()
-		}
-	}
-	finish = func() {
-		for i := range beReqs {
-			if c.windowBEBatches[i] > 0 {
-				batchSize := c.windowBEBatches[i]
-				perNode := int(math.Ceil(float64(beReqs[i]) / float64(batchSize) / float64(c.cfg.Nodes)))
-				c.windowBEBatches[i] = perNode
-			}
-		}
-	}
-	return add, finish
-}
-
 // enqueueSealed is the batcher's emit hook: it appends the sealed
 // batch to the gateway→coordinator mailbox. It runs in gateway-lane
 // context (window timers, seal-on-full) or in root context (the
@@ -748,7 +729,7 @@ func (c *Cluster) drainPendingGlobal() {
 
 // monitorTick runs Algorithm 2 on every node and retries stalled work.
 func (c *Cluster) monitorTick() {
-	widx := int(c.sim.Now() / c.cfg.MonitorInterval)
+	nextBatches, nextMem := c.upcomingBE(int(c.sim.Now()/c.cfg.MonitorInterval) + 1)
 	pressure := false
 	if c.fleet != nil {
 		if mk := c.fleet.Market(); mk != nil {
@@ -759,17 +740,15 @@ func (c *Cluster) monitorTick() {
 		n.scaler.SetCostPressure(pressure)
 		n.scaler.Sweep()
 		view := core.QueueView{
-			BEBatchesLastWindow: n.beBatchesWindow,
-			BEMemPerBatch:       n.beMemPerBatch(),
-			WindowSeconds:       c.cfg.MonitorInterval,
+			BEBatchesLastWindow:     n.beBatchesWindow,
+			BEMemPerBatch:           n.beMemPerBatch(),
+			WindowSeconds:           c.cfg.MonitorInterval,
+			NextWindowBEBatches:     nextBatches,
+			NextWindowBEMemPerBatch: nextMem,
 		}
 		if n.lastBEModel != nil {
 			m := n.lastBEModel
 			view.BESolo = m.SoloTime
-		}
-		if widx+1 < len(c.windowBEBatches) {
-			view.NextWindowBEBatches = c.windowBEBatches[widx+1]
-			view.NextWindowBEMemPerBatch = c.windowBEMem[widx+1]
 		}
 		n.beBatchesWindow = 0
 		desired, doIt := n.policy.DesiredGeometry(n.gpu, view)

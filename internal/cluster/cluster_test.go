@@ -34,7 +34,7 @@ func runCluster(t *testing.T, cfg Config, reqs []trace.Request, duration float64
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := c.Run(reqs, duration)
+	res, err := c.Run(trace.Replay(reqs), duration)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := c.Run(nil, 0); err == nil {
+	if _, err := c.Run(trace.Replay(nil), 0); err == nil {
 		t.Error("zero duration accepted")
 	}
 }

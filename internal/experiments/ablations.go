@@ -61,7 +61,7 @@ func ablationScenario(p Params, label string, kind ablationKind, factory core.Fa
 		pool = model.VisionHI()
 		rotate = 10
 	}
-	reqs, err := trace.Generate(trace.Config{
+	st, err := trace.NewStream(trace.Config{
 		Rate:     rate,
 		Mix:      trace.Mix{StrictFrac: 0.5, Strict: strict, BEPool: pool, RotatePeriod: rotate},
 		Duration: p.Duration,
@@ -85,7 +85,7 @@ func ablationScenario(p Params, label string, kind ablationKind, factory core.Fa
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(reqs, p.Duration)
+	return c.Run(st, p.Duration)
 }
 
 // runAblation executes the with/without pair.

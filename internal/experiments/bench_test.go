@@ -9,9 +9,9 @@ import (
 
 // BenchmarkQuickScenario is the end-to-end engine benchmark: one full
 // cluster run (trace generation, batching, placement, MPS execution,
-// reconfiguration) of a quick PROTEAN scenario. BENCH_PR4.json tracks
-// its ns/op and allocs/op across engine changes; the report content is
-// pinned separately by the golden-hash determinism test.
+// reconfiguration) of a quick PROTEAN scenario, reporting ns/op and
+// allocs/op; the report content is pinned separately by the
+// golden-hash determinism test.
 func BenchmarkQuickScenario(b *testing.B) {
 	p := Params{Quick: true, Duration: 10, Warmup: 3, Nodes: 2, Seed: 1}
 	sc := Scenario{

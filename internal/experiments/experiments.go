@@ -212,58 +212,27 @@ type MarketSpec struct {
 	MigrateInterval float64
 }
 
-// runScenario generates the trace and executes one cluster run. tr, when
+// runScenario streams the trace through one cluster run. tr, when
 // non-nil, receives the run's lifecycle events.
 func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
-	reqs, _, c, err := buildScenario(p, sc, tr)
+	st, _, c, err := buildScenario(p, sc, tr)
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(reqs, p.Duration)
+	return c.Run(st, p.Duration)
 }
 
-// buildScenario constructs but does not run one scenario: the generated
-// request trace, the simulator (exposed so the events/sec benchmark can
-// read Executed()), and the cluster wired onto it.
-func buildScenario(p Params, sc Scenario, tr obs.Tracer) ([]trace.Request, *sim.Sim, *cluster.Cluster, error) {
-	tc, s, c, err := buildScenarioCommon(p, sc, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	reqs, err := trace.Generate(tc)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: generate trace: %w", err)
-	}
-	return reqs, s, c, nil
-}
-
-// buildScenarioStream is buildScenario without the materialised trace:
-// the arrival stream is pulled by the cluster's pump one request at a
-// time, so scenario memory is independent of the request count. The
-// stream path skips the Oracle's window precompute (no scale scenario
-// uses the Oracle; callers that need it can run cluster.PrecomputeOracle
-// with a second stream).
-func buildScenarioStream(p Params, sc Scenario, tr obs.Tracer) (*trace.Stream, *sim.Sim, *cluster.Cluster, error) {
-	tc, s, c, err := buildScenarioCommon(p, sc, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := trace.NewStream(tc)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: open trace stream: %w", err)
-	}
-	return st, s, c, nil
-}
-
-// buildScenarioCommon assembles the trace config, simulator, and
-// cluster shared by the materialised and streaming builders.
-func buildScenarioCommon(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
+// buildScenario constructs but does not run one scenario: the arrival
+// stream, the simulator (exposed so ScaleCell can read Executed()), and
+// the cluster wired onto it. The cluster pulls the stream one request
+// at a time, so scenario memory is independent of the request count.
+func buildScenario(p Params, sc Scenario, tr obs.Tracer) (*trace.Stream, *sim.Sim, *cluster.Cluster, error) {
 	p = p.withDefaults()
 	if sc.Policy == nil {
-		return trace.Config{}, nil, nil, errors.New("experiments: scenario without policy")
+		return nil, nil, nil, errors.New("experiments: scenario without policy")
 	}
 	if sc.Strict == nil && sc.StrictFrac != 0 {
-		return trace.Config{}, nil, nil, errors.New("experiments: scenario without strict model")
+		return nil, nil, nil, errors.New("experiments: scenario without strict model")
 	}
 	pool := sc.BEPool
 	if pool == nil && sc.Strict != nil {
@@ -313,14 +282,14 @@ func buildScenarioCommon(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *s
 	}
 	if sc.Market != nil {
 		if sc.Market.Policy == nil {
-			return trace.Config{}, nil, nil, errors.New("experiments: market scenario without procurement policy")
+			return nil, nil, nil, errors.New("experiments: market scenario without procurement policy")
 		}
 		mk, err := market.New(s, sc.Market.Config, sc.Market.Catalog)
 		if err != nil {
-			return trace.Config{}, nil, nil, err
+			return nil, nil, nil, err
 		}
 		if err := mk.Start(); err != nil {
-			return trace.Config{}, nil, nil, err
+			return nil, nil, nil, err
 		}
 		if vmCfg == nil {
 			vmCfg = &vm.Config{}
@@ -344,9 +313,13 @@ func buildScenarioCommon(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *s
 		SketchQuantiles: p.SketchQuantiles,
 	})
 	if err != nil {
-		return trace.Config{}, nil, nil, err
+		return nil, nil, nil, err
 	}
-	return tc, s, c, nil
+	st, err := trace.NewStream(tc)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("experiments: open trace stream: %w", err)
+	}
+	return st, s, c, nil
 }
 
 // Table is a rendered experiment artifact.

@@ -19,17 +19,18 @@ func ColdStarts(p Params) (*Report, error) {
 	p = p.withDefaults()
 	strict := model.MustByName("ResNet 50")
 	pool := model.OppositeClassPool(strict)
-	reqs, err := trace.Generate(trace.Config{
+	tc := trace.Config{
 		Rate:     wikiRate(p.Duration),
 		Mix:      trace.Mix{StrictFrac: 0.5, Strict: strict, BEPool: pool},
 		Duration: p.Duration,
 		Seed:     p.Seed,
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	runWith := func(label string, scaler autoscale.Config) (*cluster.Result, error) {
+		st, err := trace.NewStream(tc)
+		if err != nil {
+			return nil, err
+		}
 		s := sim.New(p.Seed)
 		if tr := p.tracer(label); tr != nil {
 			s.SetTracer(tr)
@@ -44,7 +45,7 @@ func ColdStarts(p Params) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.Run(reqs, p.Duration)
+		return c.Run(st, p.Duration)
 	}
 
 	delayed, err := runWith("coldstarts delayed", autoscale.Config{})

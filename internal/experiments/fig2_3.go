@@ -92,7 +92,7 @@ func Fig2Motivation(p Params) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := c.Run(reqs, p.Duration)
+			res, err := c.Run(trace.Replay(reqs), p.Duration)
 			if err != nil {
 				return nil, fmt.Errorf("fig2 %s: %w", sch.Name, err)
 			}

@@ -72,11 +72,11 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 		Rate:   scaleRate(scale, p.Duration),
 		Policy: core.NewProtean(core.ProteanConfig{}),
 	}
-	st, s, c, err := buildScenarioStream(p, sc, p.tracer(label))
+	st, s, c, err := buildScenario(p, sc, p.tracer(label))
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.RunStream(st, p.Duration)
+	res, err := c.Run(st, p.Duration)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", label, err)
 	}
@@ -88,8 +88,10 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 // cell streamed and sketched. The table reports only deterministic
 // quantities — request volumes, SLO attainment, sketch percentiles,
 // executed events — so the report is byte-identical across repeats;
-// events/sec and peak heap are wall-clock measurements and live in
-// BENCH_PR9.json (make bench).
+// events/sec and peak heap are wall-clock measurements, reported by
+// BenchmarkScaleCell (make bench). The table's last note still names
+// the retired BENCH_PR9.json ledger; rewording it changes the report's
+// bytes.
 func ScaleSweep(p Params) (*Report, error) {
 	p = p.withDefaults()
 	if p.Duration <= 60 {

@@ -220,15 +220,11 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// lease is one VM attached to a node slot. Billing is piecewise: the
-// open segment starts at since (= acquired until a Reprice checkpoints
-// it) and closed segments are settled into accrued, so the meter
-// integrates exactly across mid-lease price changes.
+// lease is one VM attached to a node slot, billed from acquired at the
+// fixed tariff of its kind.
 type lease struct {
 	kind     Kind
 	acquired float64
-	since    float64 // open billing segment start
-	accrued  float64 // dollars settled across closed segments
 }
 
 type nodeState int
@@ -392,7 +388,7 @@ func (f *Fleet) startMarket() error {
 func (f *Fleet) attach(node int, kind Kind) {
 	f.release(node)
 	now := f.sim.Now()
-	f.leases[node] = &lease{kind: kind, acquired: now, since: now}
+	f.leases[node] = &lease{kind: kind, acquired: now}
 	f.states[node] = nodeUp
 	if tr := f.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(f.sim.Now(), obs.KindVMLease)
@@ -410,7 +406,7 @@ func (f *Fleet) release(node int) {
 	if l == nil {
 		return
 	}
-	f.accrued += l.accrued + (f.sim.Now()-l.since)/3600*f.cfg.Pricing.Hourly(l.kind)
+	f.accrued += (f.sim.Now() - l.acquired) / 3600 * f.cfg.Pricing.Hourly(l.kind)
 	f.leases[node] = nil
 }
 
@@ -425,22 +421,6 @@ func (f *Fleet) releaseNode(node int) {
 		return
 	}
 	f.release(node)
-}
-
-// Reprice swaps the tariff mid-run, checkpointing every active lease's
-// open billing segment at the outgoing price, so Cost integrates each
-// lease piecewise-exactly across the change. The on-demand baseline
-// uses the tariff in force when Cost is called.
-func (f *Fleet) Reprice(p Pricing) {
-	now := f.sim.Now()
-	for _, l := range f.leases {
-		if l == nil {
-			continue
-		}
-		l.accrued += (now - l.since) / 3600 * f.cfg.Pricing.Hourly(l.kind)
-		l.since = now
-	}
-	f.cfg.Pricing = p
 }
 
 // spotAvailable samples whether a spot request succeeds right now.
@@ -878,11 +858,7 @@ func (f *Fleet) Cost(since float64) CostReport {
 	total := f.accrued
 	for _, l := range f.leases {
 		if l != nil {
-			// Settled segments plus the open one at the current tariff —
-			// exact across Reprice; when no reprice happened accrued is
-			// +0 and since == acquired, so this is bitwise the old
-			// (now-acquired) integral.
-			total += l.accrued + (now-l.since)/3600*f.cfg.Pricing.Hourly(l.kind)
+			total += (now - l.acquired) / 3600 * f.cfg.Pricing.Hourly(l.kind)
 		}
 	}
 	baseline := float64(f.cfg.Nodes) * (now - since) / 3600 * f.cfg.Pricing.OnDemandHourly

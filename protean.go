@@ -346,7 +346,7 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 	if strictFrac == 0 && strict != nil {
 		strictFrac = 0.5
 	}
-	reqs, err := trace.Generate(trace.Config{
+	st, err := trace.NewStream(trace.Config{
 		Rate: rate,
 		Mix: trace.Mix{
 			StrictFrac:   strictFrac,
@@ -414,7 +414,7 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Run(reqs, duration)
+	res, err := c.Run(st, duration)
 	if err != nil {
 		return nil, err
 	}
