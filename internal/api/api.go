@@ -63,7 +63,11 @@ type SimulateRequest struct {
 
 // SimulateResponse is the POST /simulate result.
 type SimulateResponse struct {
+	// SLOCompliance is 0 when StrictRequests is 0 (kept finite for
+	// JSON, as in metrics.ModelStats): check StrictRequests to tell
+	// "none measured" from "all missed".
 	SLOCompliance     float64                  `json:"sloCompliance"`
+	StrictRequests    int                      `json:"strictRequests"`
 	StrictP50Millis   float64                  `json:"strictP50Millis"`
 	StrictP99Millis   float64                  `json:"strictP99Millis"`
 	BEP99Millis       float64                  `json:"beP99Millis"`
@@ -460,7 +464,6 @@ func (s *Server) simulate(req SimulateRequest) (*SimulateResponse, error) {
 		return nil, err
 	}
 	out := &SimulateResponse{
-		SLOCompliance:     res.SLOCompliance,
 		StrictP50Millis:   float64(res.StrictP50) / float64(time.Millisecond),
 		StrictP99Millis:   float64(res.StrictP99) / float64(time.Millisecond),
 		BEP99Millis:       float64(res.BEP99) / float64(time.Millisecond),
@@ -475,6 +478,12 @@ func (s *Server) simulate(req SimulateRequest) (*SimulateResponse, error) {
 		Retries:           res.Retries,
 		GeometryTimeline:  res.GeometryTimeline,
 		Models:            res.Models,
+	}
+	for _, m := range res.Models {
+		out.StrictRequests += m.StrictRequests
+	}
+	if out.StrictRequests > 0 {
+		out.SLOCompliance = res.SLOCompliance
 	}
 	s.sims.Inc()
 	// A run whose warmup swallowed every sample reports NaN percentiles;

@@ -127,8 +127,42 @@ func TestSimulateEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if out.Requests == 0 || out.SLOCompliance <= 0 {
+	if out.Requests == 0 || out.StrictRequests == 0 || out.SLOCompliance <= 0 {
 		t.Errorf("response = %+v", out)
+	}
+}
+
+// TestSimulateWithoutStrictSamples covers two valid bodies that measure
+// no strict request — an all-best-effort mix and a warmup covering the
+// whole run. Both must encode (no NaN), report 0 strict requests, and
+// report compliance 0.
+func TestSimulateWithoutStrictSamples(t *testing.T) {
+	srv := newServer(t)
+	for name, body := range map[string]string{
+		"best-effort only": `{"beModels":["BERT"],"meanRPS":200,"durationSeconds":5}`,
+		"warmup covers run": `{"strictModel":"ResNet 50","meanRPS":200,"durationSeconds":5,"warmupSeconds":10}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/simulate", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+			}
+			var out SimulateResponse
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if out.StrictRequests != 0 || out.SLOCompliance != 0 {
+				t.Errorf("strictRequests = %d, sloCompliance = %v, want 0 and 0", out.StrictRequests, out.SLOCompliance)
+			}
+		})
 	}
 }
 

@@ -357,9 +357,6 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Recorder exposes the metrics recorder.
-func (c *Cluster) Recorder() *metrics.Recorder { return c.recorder }
-
 // PoolStats aggregates freelist hit/miss counters across the batcher
 // (batch and partial-batch shells) and every node's job list. The
 // counts are deterministic for a seed. Call from
@@ -374,7 +371,9 @@ func (c *Cluster) PoolStats() pool.Stats {
 
 // Result summarizes a completed run.
 type Result struct {
-	// Recorder holds every latency sample.
+	// Recorder holds every latency sample of a batch run. A live
+	// session's samples go to the serving layer as Completion records
+	// instead, so its Recorder is empty.
 	Recorder *metrics.Recorder
 	// Duration is the trace duration in seconds.
 	Duration float64
@@ -977,9 +976,10 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 			Completed: j.Finished(),
 			Weight:    1,
 		}
-		n.recorder.Add(s)
 		if n.cluster.live {
 			liveSamples = append(liveSamples, s)
+		} else {
+			n.recorder.Add(s)
 		}
 	}
 	if n.cluster.live {
@@ -1142,6 +1142,10 @@ func (n *node) reconfigure(desired gpu.Geometry) {
 }
 
 // resubmit places a displaced (never-started) job onto the new geometry.
+// When the policy finds no slice, the job goes to any slice it fits;
+// when none fits or the slice rejects it, the job takes the path of a
+// slice-fault orphan (OnFail → jobFailed): its container is released
+// and its batch re-enters dispatch or, for shed best effort, is dropped.
 func (n *node) resubmit(j *gpu.Job) {
 	m, ok := j.W.(*model.Model)
 	if !ok {
@@ -1149,22 +1153,15 @@ func (n *node) resubmit(j *gpu.Job) {
 	}
 	sl, err := n.policy.Place(n.gpu, m, j.Strict)
 	if err != nil {
-		// Hold as a synthetic batch? Displaced jobs keep their original
-		// batch callbacks, so retry on the next completion via held
-		// list is not possible; place on any fitting slice instead.
 		for _, cand := range n.gpu.Slices() {
 			if !cand.Failed() && m.MemGB(cand.Prof) <= cand.Prof.MemGB {
 				sl = cand
 				break
 			}
 		}
-		if sl == nil {
-			n.dropped += j.Requests
-			return
-		}
 	}
-	if err := sl.Submit(j); err != nil {
-		n.drop(j.TraceID, j.Requests)
+	if sl == nil || sl.Submit(j) != nil {
+		j.OnFail(j)
 	}
 }
 

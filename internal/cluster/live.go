@@ -99,6 +99,8 @@ func (c *Cluster) Now() float64 { return c.sim.Now() }
 
 // Drain freezes a live cluster — no more ingest — drains all in-flight
 // work, and returns the final Result. The session cannot be restarted.
+// Latency samples were delivered through CollectLive's Completion
+// records, so the Result's Recorder is empty.
 func (c *Cluster) Drain() (*Result, error) {
 	if !c.live {
 		return nil, errors.New("cluster: Drain before StartLive")

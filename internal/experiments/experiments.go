@@ -80,14 +80,12 @@ type Params struct {
 	// (zero value: disabled — runs are byte-identical to a build
 	// without the chaos subsystem). Scenario.Chaos overrides it.
 	Chaos chaos.Config
-	// SketchQuantiles runs every recorder in O(1)-memory sketch mode
-	// (metrics.NewSketchRecorder): percentiles become sketch estimates
-	// within metrics.SketchAlpha relative error, per-sample surfaces
-	// (latency breakdowns, raw latency lists for the Welch tests) are
-	// unavailable, and peak memory stays flat in the request count.
-	// Default off — the exact path keeps goldens, grid cells, and
-	// statistical tests byte-identical. The scale sweep forces it on.
-	SketchQuantiles bool
+
+	// sketch records into sketch storage (metrics.NewSketchRecorder) so
+	// peak memory stays flat in the request count. Only ScaleCell sets
+	// it; every other run keeps exact samples, which its breakdowns and
+	// statistical tests need.
+	sketch bool
 }
 
 // tracer registers a collector for a one-off (non-batch) scenario run;
@@ -310,7 +308,7 @@ func buildScenario(p Params, sc Scenario, tr obs.Tracer) (*trace.Stream, *sim.Si
 		VM:              vmCfg,
 		Arch:            sc.Arch,
 		Chaos:           chaosCfg,
-		SketchQuantiles: p.SketchQuantiles,
+		SketchQuantiles: p.sketch,
 	})
 	if err != nil {
 		return nil, nil, nil, err

@@ -64,7 +64,7 @@ type ScaleCellResult struct {
 // shrink it).
 func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 	p = p.withDefaults()
-	p.SketchQuantiles = true
+	p.sketch = true
 	label := fmt.Sprintf("scale %gx", scale)
 	sc := Scenario{
 		Label:  label,
@@ -89,9 +89,7 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 // quantities — request volumes, SLO attainment, sketch percentiles,
 // executed events — so the report is byte-identical across repeats;
 // events/sec and peak heap are wall-clock measurements, reported by
-// BenchmarkScaleCell (make bench). The table's last note still names
-// the retired BENCH_PR9.json ledger; rewording it changes the report's
-// bytes.
+// BenchmarkScaleCell (make bench) and perfbench's scale_stream workload.
 func ScaleSweep(p Params) (*Report, error) {
 	p = p.withDefaults()
 	if p.Duration <= 60 {
@@ -128,6 +126,6 @@ func ScaleSweep(p Params) (*Report, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("arrivals are pulled from trace.Stream (never materialised) and recorded into %.0f%%-accuracy quantile sketches; peak heap stays flat in the request count", metrics.SketchAlpha*100),
 		fmt.Sprintf("offered load stays below the cluster's saturation knee by design: the sweep measures the simulator, not queue backlog (horizon %.0fs)", p.Duration),
-		"events/sec and peak heap are wall-clock measurements: see BENCH_PR9.json (make bench)")
+		"events/sec and peak heap are wall-clock measurements: see BenchmarkScaleCell (make bench) and perfbench's scale_stream workload")
 	return &Report{ID: "scale", Tables: []*Table{t}}, nil
 }

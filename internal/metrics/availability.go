@@ -48,21 +48,7 @@ func Goodput(r *Recorder, duration float64) float64 {
 	if r == nil || duration <= 0 {
 		return 0
 	}
-	good := 0
-	if r.sk != nil {
-		// All completed weight minus the strict requests that missed:
-		// the streaming counters hold exactly those two terms.
-		for _, k := range r.skKeys() {
-			a := r.sk.aggs[k]
-			good += a.weight - (a.strictW - a.strictMet)
-		}
-	} else {
-		r.eachExact(func(s *Sample) {
-			if s.Strict && s.Latency > s.SLO {
-				return
-			}
-			good += s.Weight
-		})
-	}
-	return float64(good) / duration
+	// All completed weight minus the strict requests that missed.
+	t := r.count(0)
+	return float64(t.weight-(t.strictW-t.strictMet)) / duration
 }

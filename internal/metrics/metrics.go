@@ -4,13 +4,13 @@
 // 11), throughput, and the statistical significance measures of §7
 // (Welch's t-test, Cohen's d, confidence intervals).
 //
-// A Recorder runs in one of two modes. The default exact mode buffers
-// every sample, which keeps goldens, grid cells, and statistical-test
-// inputs byte-identical run to run. Sketch mode (NewSketchRecorder)
-// replaces the sample buffer with O(1)-memory per-(model, tenant,
-// class) aggregates — streaming counters plus a deterministic quantile
-// Sketch — for runs whose request volume would not fit in memory; see
-// DESIGN.md, "Memory model at scale".
+// A Recorder has one of two storages. The zero value buffers every
+// sample exactly, which keeps goldens, grid cells, and statistical-test
+// inputs byte-identical run to run. NewSketchRecorder replaces the
+// sample buffer with O(1)-memory per-(model, tenant, class) aggregates
+// — streaming counters plus a deterministic quantile Sketch — for runs
+// whose request volume would not fit in memory; see DESIGN.md, "Memory
+// model at scale".
 package metrics
 
 import (
@@ -46,49 +46,55 @@ type Sample struct {
 	Weight int
 }
 
-// Recorder accumulates samples. The zero value is an exact-mode
-// recorder, ready to use.
+// Recorder accumulates samples. Its storage is fixed at construction:
+// the zero value buffers every sample (exact storage); NewSketchRecorder
+// keeps one streaming aggregate per (model, tenant, class) key instead
+// (sketch storage). Only the storage primitives — Add, Merge, the
+// counting scan (count), the key selection (where), Snapshot's model
+// list and the quantile, breakdown and latency readers — look at which
+// storage is in use; every scalar query reads one tally.
 //
-// Filter and its derivatives (Strict, BestEffort, ForModel, ForTenant)
-// return view recorders sharing the parent's backing: a view costs one
-// index slice, never a sample copy. Views are snapshots — samples added
-// to the parent afterwards are not visible through an existing view —
-// and mutating a view (Add/Merge) first materialises a private copy so
-// the parent is never perturbed.
+// Strict, BestEffort, ForModel and ForTenant return views: one key
+// selection over the parent's storage — sample positions in parent
+// order, or aggregate keys — never a sample copy. A parent only ever
+// appends, so an exact view is a snapshot: later samples lie past every
+// position it indexes. A sketch view shares its parent's aggregates. A
+// view that receives Add or Merge first detaches into a recorder of its
+// own, so the parent is never perturbed.
 type Recorder struct {
+	// samples is exact storage, in arrival order. An exact view shares
+	// its parent's backing and reads it through pos.
 	samples []Sample
-	// view, when non-nil, restricts the recorder to these positions of
-	// samples (a filtered view over a parent's backing).
-	view []int
-	// shared marks the samples backing as shared with another recorder
-	// (a parent or its views); mutation must copy first.
-	shared bool
-	// weightSum caches the total weighted request count.
-	weightSum int
+	// tal is the exact-storage tally of the visible samples, in sample
+	// order: kept current by Add and Merge, built with a view's
+	// selection.
+	tal tally
+	// sk is sketch storage (nil: exact), shared by a root and its views.
+	sk *sketchStore
+	// pos (exact) or keys (sketch) is a view's selection, in the order
+	// the parent walks it; both are nil on a root.
+	pos  []int
+	keys []key
 
 	// byLat caches the latency-sorted sample positions for the quantile
 	// path; valid only while sortedOK. Add/Merge invalidate it, so
 	// report generation re-sorts once instead of once per quantile.
 	byLat    []int
 	sortedOK bool
-
-	// sk switches the recorder into sketch mode (non-nil). skSel, when
-	// additionally non-nil, restricts a sketch-mode view to a key
-	// subset.
-	sk    *sketchRec
-	skSel []sketchKey
 }
 
-// sketchKey identifies one sketch-mode aggregate.
-type sketchKey struct {
+// key identifies one sketch aggregate; it is also what the selectors
+// match samples on.
+type key struct {
 	model  string
 	tenant string
 	strict bool
 }
 
-// sketchAgg is the O(1)-memory replacement for one key's samples.
-type sketchAgg struct {
-	sk Sketch
+// tally holds the counters every scalar query reads. Exact storage sums
+// it in sample order, sketch storage in sorted key order, so its float
+// sum is a pure function of the storage's contents.
+type tally struct {
 	// n and weight count samples and weighted requests.
 	n, weight int
 	// latSum accumulates Latency·Weight for the mean.
@@ -101,34 +107,81 @@ type sketchAgg struct {
 	strictW, strictMet int
 }
 
-// sketchRec is the shared state of a sketch-mode recorder and its views.
-type sketchRec struct {
-	aggs  map[sketchKey]*sketchAgg
-	keys  []sketchKey // sorted key cache
-	dirty bool
+func (t *tally) add(s *Sample) {
+	t.n++
+	t.weight += s.Weight
+	t.latSum += s.Latency * float64(s.Weight)
+	if s.SLO > 0 {
+		t.attTotal += s.Weight
+		if s.Latency <= s.SLO {
+			t.attMet += s.Weight
+		}
+	}
+	if s.Strict {
+		t.strictW += s.Weight
+		if s.Latency <= s.SLO {
+			t.strictMet += s.Weight
+		}
+	}
 }
 
-func (s *sketchRec) agg(k sketchKey) *sketchAgg {
+func (t *tally) merge(o *tally) {
+	t.n += o.n
+	t.weight += o.weight
+	t.latSum += o.latSum
+	t.attTotal += o.attTotal
+	t.attMet += o.attMet
+	t.strictW += o.strictW
+	t.strictMet += o.strictMet
+}
+
+// sketchAgg is the O(1)-memory replacement for one key's samples.
+type sketchAgg struct {
+	tally
+	sk Sketch
+}
+
+// sketchStore is the sketch storage of a recorder and its views.
+type sketchStore struct {
+	aggs map[key]*sketchAgg
+	// sorted caches every key in (model, tenant, strict-first) order.
+	// Keys are never removed, so it is stale exactly when its length
+	// differs from the map's.
+	sorted []key
+}
+
+func (s *sketchStore) add(smp *Sample) {
+	a := s.agg(key{smp.Model, smp.Tenant, smp.Strict})
+	a.sk.Add(smp.Latency, smp.Weight)
+	a.tally.add(smp)
+}
+
+func (s *sketchStore) merge(k key, o *sketchAgg) {
+	a := s.agg(k)
+	a.sk.Merge(&o.sk)
+	a.tally.merge(&o.tally)
+}
+
+func (s *sketchStore) agg(k key) *sketchAgg {
 	a, ok := s.aggs[k]
 	if !ok {
 		a = &sketchAgg{}
 		s.aggs[k] = a
-		s.dirty = true
 	}
 	return a
 }
 
-// sortedKeys returns every aggregate key in a fixed (model, tenant,
-// strict) order, so iteration — including float summation — is
-// deterministic.
-func (s *sketchRec) sortedKeys() []sketchKey {
-	if s.dirty || s.keys == nil {
-		s.keys = s.keys[:0]
+// sortedKeys returns every aggregate key in a fixed order, so iteration
+// — including float summation — is deterministic. A rebuild allocates a
+// fresh slice: views may hold the previous one.
+func (s *sketchStore) sortedKeys() []key {
+	if len(s.sorted) != len(s.aggs) {
+		keys := make([]key, 0, len(s.aggs))
 		for k := range s.aggs {
-			s.keys = append(s.keys, k)
+			keys = append(keys, k)
 		}
-		sort.Slice(s.keys, func(i, j int) bool {
-			a, b := s.keys[i], s.keys[j]
+		sort.Slice(keys, func(i, j int) bool {
+			a, b := keys[i], keys[j]
 			if a.model != b.model {
 				return a.model < b.model
 			}
@@ -137,45 +190,33 @@ func (s *sketchRec) sortedKeys() []sketchKey {
 			}
 			return a.strict && !b.strict
 		})
-		s.dirty = false
+		s.sorted = keys
 	}
-	return s.keys
+	return s.sorted
 }
 
-// NewSketchRecorder returns a recorder in sketch mode: per-(model,
+// NewSketchRecorder returns a recorder with sketch storage: per-(model,
 // tenant, class) streaming aggregates instead of a sample buffer.
 // Quantiles come from a deterministic Sketch with relative error at
 // most SketchAlpha; means, SLO compliance, attainment and request
 // counts are exact. Per-sample state is not retained, so
 // BreakdownAtPercentile returns a zero breakdown, Latencies returns
-// nil, and Filter predicates see one representative sample per
-// aggregate (Model, Tenant, Strict and SLO populated — enough for
-// every class/model/tenant filter; Completed-based horizon filters
-// keep everything).
+// nil, and throughput horizons keep every aggregate.
 func NewSketchRecorder() *Recorder {
-	return &Recorder{sk: &sketchRec{aggs: make(map[sketchKey]*sketchAgg)}}
+	return &Recorder{sk: &sketchStore{aggs: make(map[key]*sketchAgg)}}
 }
 
-// Sketching reports whether the recorder is in sketch mode.
-func (r *Recorder) Sketching() bool { return r.sk != nil }
+func (r *Recorder) isView() bool { return r.pos != nil || r.keys != nil }
 
-// materialize gives a view or shared recorder its own private backing
-// (exact mode only), so a mutation never touches a parent's samples.
-func (r *Recorder) materialize() {
-	if !r.shared && r.view == nil {
-		return
+// detach turns a view into a root that owns its contents by merging it
+// into a fresh recorder of the same storage.
+func (r *Recorder) detach() {
+	own := &Recorder{}
+	if r.sk != nil {
+		own = NewSketchRecorder()
 	}
-	own := make([]Sample, 0, r.exactLen())
-	r.weightSum = 0
-	r.eachExact(func(s *Sample) {
-		own = append(own, *s)
-		r.weightSum += s.Weight
-	})
-	r.samples = own
-	r.view = nil
-	r.shared = false
-	r.sortedOK = false
-	r.byLat = nil
+	own.Merge(r)
+	*r = *own
 }
 
 // Add records a sample. Zero weights are normalized to 1.
@@ -183,219 +224,152 @@ func (r *Recorder) Add(s Sample) {
 	if s.Weight <= 0 {
 		s.Weight = 1
 	}
+	if r.isView() {
+		r.detach()
+	}
 	if r.sk != nil {
-		if r.skSel != nil {
-			panic("metrics: Add on a sketch-mode view recorder")
-		}
-		r.addSketch(s)
+		r.sk.add(&s)
 		return
 	}
-	r.materialize()
 	r.samples = append(r.samples, s)
-	r.weightSum += s.Weight
+	r.tal.add(&s)
 	r.sortedOK = false
 }
 
-func (r *Recorder) addSketch(s Sample) {
-	a := r.sk.agg(sketchKey{model: s.Model, tenant: s.Tenant, strict: s.Strict})
-	a.sk.Add(s.Latency, s.Weight)
-	a.n++
-	a.weight += s.Weight
-	a.latSum += s.Latency * float64(s.Weight)
-	if s.SLO > 0 {
-		a.attTotal += s.Weight
-		if s.Latency <= s.SLO {
-			a.attMet += s.Weight
-		}
-	}
-	if s.Strict {
-		a.strictW += s.Weight
-		if s.Latency <= s.SLO {
-			a.strictMet += s.Weight
-		}
-	}
-	r.weightSum += s.Weight
-}
-
-// Merge folds another recorder's samples into r. Merging a sketch-mode
-// recorder into an exact one (or vice versa) converts sample-by-sample
-// where possible; sketch→exact is impossible (the samples are gone) and
-// panics.
+// Merge folds other's samples, read through other's own selection, into
+// r. Merging a sketch into an exact recorder turns r into a sketch
+// recorder — the sketch's samples cannot be recovered — after folding
+// r's own samples into its aggregates.
 func (r *Recorder) Merge(other *Recorder) {
 	if other == nil {
 		return
 	}
-	if r.sk != nil {
-		if r.skSel != nil {
-			panic("metrics: Merge on a sketch-mode view recorder")
-		}
-		if other.sk == nil {
-			other.eachExact(func(s *Sample) { r.addSketch(*s) })
-			return
-		}
-		for _, k := range other.sk.sortedKeys() {
-			if !other.selected(k) {
-				continue
-			}
-			oa := other.sk.aggs[k]
-			a := r.sk.agg(k)
-			a.sk.Merge(&oa.sk)
-			a.n += oa.n
-			a.weight += oa.weight
-			a.latSum += oa.latSum
-			a.attTotal += oa.attTotal
-			a.attMet += oa.attMet
-			a.strictW += oa.strictW
-			a.strictMet += oa.strictMet
-			r.weightSum += oa.weight
-		}
-		return
+	if r.isView() {
+		r.detach()
 	}
-	if other.sk != nil {
-		panic("metrics: cannot merge a sketch-mode recorder into an exact recorder")
+	if r.sk == nil && other.sk != nil {
+		exact := *r
+		*r = *NewSketchRecorder()
+		r.Merge(&exact)
 	}
-	r.materialize()
-	other.eachExact(func(s *Sample) {
-		r.samples = append(r.samples, *s)
-		r.weightSum += s.Weight
-	})
-	r.sortedOK = false
+	switch {
+	case r.sk != nil && other.sk != nil:
+		for _, k := range other.visibleKeys() {
+			r.sk.merge(k, other.sk.aggs[k])
+		}
+	case r.sk != nil:
+		other.eachPos(func(i int) { r.sk.add(&other.samples[i]) })
+	default:
+		other.eachPos(func(i int) {
+			r.samples = append(r.samples, other.samples[i])
+			r.tal.add(&other.samples[i])
+		})
+		r.sortedOK = false
+	}
 }
 
-// exactLen is the number of samples visible through this recorder.
-func (r *Recorder) exactLen() int {
-	if r.view != nil {
-		return len(r.view)
-	}
-	return len(r.samples)
-}
-
-// eachExact visits the recorder's samples in order (exact mode).
-func (r *Recorder) eachExact(fn func(*Sample)) {
-	if r.view != nil {
-		for _, i := range r.view {
-			fn(&r.samples[i])
+// eachPos visits the positions of the visible samples in order (exact
+// storage).
+func (r *Recorder) eachPos(fn func(int)) {
+	if r.pos != nil {
+		for _, i := range r.pos {
+			fn(i)
 		}
 		return
 	}
 	for i := range r.samples {
-		fn(&r.samples[i])
+		fn(i)
 	}
 }
 
-// selected reports whether a sketch key is visible through this
-// recorder (views carry a key subset).
-func (r *Recorder) selected(k sketchKey) bool {
-	if r.skSel == nil {
-		return true
-	}
-	for _, s := range r.skSel {
-		if s == k {
-			return true
-		}
-	}
-	return false
-}
-
-// skKeys returns the sketch keys visible through this recorder, sorted.
-func (r *Recorder) skKeys() []sketchKey {
-	if r.skSel != nil {
-		return r.skSel
+// visibleKeys returns the aggregate keys visible through this recorder,
+// sorted (sketch storage).
+func (r *Recorder) visibleKeys() []key {
+	if r.keys != nil {
+		return r.keys
 	}
 	return r.sk.sortedKeys()
 }
 
-// Len returns the number of samples (not weighted).
-func (r *Recorder) Len() int {
-	if r.sk != nil {
-		n := 0
-		for _, k := range r.skKeys() {
-			n += r.sk.aggs[k].n
+// count is the recorder's one counting scan: the tally of the visible
+// samples that completed by horizon (horizon <= 0 keeps everything;
+// sketch storage keeps no completion times and keeps everything too).
+func (r *Recorder) count(horizon float64) tally {
+	var t tally
+	switch {
+	case r.sk != nil:
+		for _, k := range r.visibleKeys() {
+			t.merge(&r.sk.aggs[k].tally)
 		}
-		return n
+	case horizon <= 0:
+		t = r.tal
+	default:
+		r.eachPos(func(i int) {
+			if r.samples[i].Completed <= horizon {
+				t.add(&r.samples[i])
+			}
+		})
 	}
-	return r.exactLen()
+	return t
 }
+
+// Len returns the number of samples (not weighted).
+func (r *Recorder) Len() int { return r.count(0).n }
 
 // Requests returns the total weighted request count.
-func (r *Recorder) Requests() int {
-	if r.sk != nil {
-		n := 0
-		for _, k := range r.skKeys() {
-			n += r.sk.aggs[k].weight
-		}
-		return n
-	}
-	if r.view == nil {
-		return r.weightSum
-	}
-	n := 0
-	r.eachExact(func(s *Sample) { n += s.Weight })
-	return n
-}
+func (r *Recorder) Requests() int { return r.count(0).weight }
 
-// representative builds the stand-in sample sketch-mode Filter
-// predicates evaluate: identity fields are populated, per-sample
-// measurements are zero.
-func representative(k sketchKey, a *sketchAgg) Sample {
-	s := Sample{Model: k.model, Tenant: k.tenant, Strict: k.strict, Weight: a.weight}
-	if a.attTotal > 0 {
-		s.SLO = 1 // flag "has a latency target" for SLO > 0 predicates
-	}
-	return s
-}
-
-// Filter returns a recorder holding samples matching pred. In exact
-// mode this is a view over the same backing (no sample copies); in
-// sketch mode the predicate selects whole aggregates via one
-// representative sample each.
-func (r *Recorder) Filter(pred func(Sample) bool) *Recorder {
+// where is the one key selection behind Strict, BestEffort, ForModel
+// and ForTenant: a view of the samples, or aggregates, whose key keep
+// accepts, in this recorder's order.
+func (r *Recorder) where(keep func(key) bool) *Recorder {
 	if r.sk != nil {
-		sel := make([]sketchKey, 0, len(r.skKeys()))
-		for _, k := range r.skKeys() {
-			if pred(representative(k, r.sk.aggs[k])) {
-				sel = append(sel, k)
+		v := &Recorder{sk: r.sk, keys: []key{}}
+		for _, k := range r.visibleKeys() {
+			if keep(k) {
+				v.keys = append(v.keys, k)
 			}
 		}
-		return &Recorder{sk: r.sk, skSel: sel}
+		return v
 	}
-	out := &Recorder{samples: r.samples, shared: true, view: []int{}}
-	r.shared = true
-	if r.view != nil {
-		for _, i := range r.view {
-			if pred(r.samples[i]) {
-				out.view = append(out.view, i)
-			}
+	v := &Recorder{samples: r.samples, pos: []int{}}
+	r.eachPos(func(i int) {
+		s := &r.samples[i]
+		if keep(key{s.Model, s.Tenant, s.Strict}) {
+			v.pos = append(v.pos, i)
+			v.tal.add(s)
 		}
-		return out
-	}
-	for i := range r.samples {
-		if pred(r.samples[i]) {
-			out.view = append(out.view, i)
-		}
-	}
-	return out
+	})
+	return v
 }
 
 // Strict returns the strict-sample subset.
 func (r *Recorder) Strict() *Recorder {
-	return r.Filter(func(s Sample) bool { return s.Strict })
+	return r.where(func(k key) bool { return k.strict })
 }
 
 // BestEffort returns the best-effort subset.
 func (r *Recorder) BestEffort() *Recorder {
-	return r.Filter(func(s Sample) bool { return !s.Strict })
+	return r.where(func(k key) bool { return !k.strict })
 }
 
 // ForModel returns samples of one model.
 func (r *Recorder) ForModel(name string) *Recorder {
-	return r.Filter(func(s Sample) bool { return s.Model == name })
+	return r.where(func(k key) bool { return k.model == name })
 }
 
 // ForTenant returns samples belonging to one tenant (live control-plane
 // traffic tags every sample with its tenant id).
 func (r *Recorder) ForTenant(id string) *Recorder {
-	return r.Filter(func(s Sample) bool { return s.Tenant == id })
+	return r.where(func(k key) bool { return k.tenant == id })
+}
+
+// ratio is met/total, NaN when total is 0.
+func ratio(met, total int) float64 {
+	if total == 0 {
+		return math.NaN()
+	}
+	return float64(met) / float64(total)
 }
 
 // Attainment returns the weighted fraction of samples with a latency
@@ -404,78 +378,26 @@ func (r *Recorder) ForTenant(id string) *Recorder {
 // tenants carry soft targets too. It returns NaN when no sample has a
 // target.
 func (r *Recorder) Attainment() float64 {
-	total, met := 0, 0
-	if r.sk != nil {
-		for _, k := range r.skKeys() {
-			a := r.sk.aggs[k]
-			total += a.attTotal
-			met += a.attMet
-		}
-	} else {
-		r.eachExact(func(s *Sample) {
-			if s.SLO <= 0 {
-				return
-			}
-			total += s.Weight
-			if s.Latency <= s.SLO {
-				met += s.Weight
-			}
-		})
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(met) / float64(total)
+	t := r.count(0)
+	return ratio(t.attMet, t.attTotal)
 }
 
 // SLOCompliance returns the weighted fraction of strict samples meeting
 // their SLO. It returns NaN when there are no strict samples.
 func (r *Recorder) SLOCompliance() float64 {
-	total, met := 0, 0
-	if r.sk != nil {
-		for _, k := range r.skKeys() {
-			a := r.sk.aggs[k]
-			total += a.strictW
-			met += a.strictMet
-		}
-	} else {
-		r.eachExact(func(s *Sample) {
-			if !s.Strict {
-				return
-			}
-			total += s.Weight
-			if s.Latency <= s.SLO {
-				met += s.Weight
-			}
-		})
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(met) / float64(total)
+	t := r.count(0)
+	return ratio(t.strictMet, t.strictW)
 }
 
-// Mean returns the weighted mean latency (NaN when empty). In sketch
-// mode the mean is exact: per-aggregate sums accumulate in arrival
-// order and merge in the fixed sorted key order.
+// Mean returns the weighted mean latency (NaN when empty). Sketch
+// storage keeps the mean exact: per-aggregate sums accumulate in
+// arrival order and fold in the fixed sorted key order.
 func (r *Recorder) Mean() float64 {
-	sum, n := 0.0, 0
-	if r.sk != nil {
-		for _, k := range r.skKeys() {
-			a := r.sk.aggs[k]
-			sum += a.latSum
-			n += a.weight
-		}
-	} else {
-		r.eachExact(func(s *Sample) {
-			sum += s.Latency * float64(s.Weight)
-			n += s.Weight
-		})
-	}
-	if n == 0 {
+	t := r.count(0)
+	if t.weight == 0 {
 		return math.NaN()
 	}
-	return sum / float64(n)
+	return t.latSum / float64(t.weight)
 }
 
 // sortedByLatency returns sample positions ordered by latency, cached
@@ -486,14 +408,8 @@ func (r *Recorder) sortedByLatency() []int {
 	if r.sortedOK {
 		return r.byLat
 	}
-	idx := make([]int, 0, r.exactLen())
-	if r.view != nil {
-		idx = append(idx, r.view...)
-	} else {
-		for i := range r.samples {
-			idx = append(idx, i)
-		}
-	}
+	idx := make([]int, 0, r.Len())
+	r.eachPos(func(i int) { idx = append(idx, i) })
 	sort.SliceStable(idx, func(a, b int) bool { return r.samples[idx[a]].Latency < r.samples[idx[b]].Latency })
 	r.byLat = idx
 	r.sortedOK = true
@@ -501,9 +417,10 @@ func (r *Recorder) sortedByLatency() []int {
 }
 
 // mergedSketch folds the visible aggregates' sketches into one (sketch
-// mode). Bucket counts are integers, so the merge order cannot matter.
+// storage). Bucket counts are integers, so the merge order cannot
+// matter.
 func (r *Recorder) mergedSketch() *Sketch {
-	keys := r.skKeys()
+	keys := r.visibleKeys()
 	if len(keys) == 1 {
 		return &r.sk.aggs[keys[0]].sk
 	}
@@ -515,14 +432,13 @@ func (r *Recorder) mergedSketch() *Sketch {
 }
 
 // sampleAtPercentile returns the weighted p-th percentile sample
-// (0 < p <= 100), or nil when the recorder is empty.
+// (0 < p <= 100), or nil when the recorder is empty (exact storage).
 func (r *Recorder) sampleAtPercentile(p float64) *Sample {
-	if r.exactLen() == 0 {
+	if r.Len() == 0 {
 		return nil
 	}
 	idx := r.sortedByLatency()
-	total := r.Requests()
-	target := p / 100 * float64(total)
+	target := p / 100 * float64(r.Requests())
 	cum := 0.0
 	for _, i := range idx {
 		cum += float64(r.samples[i].Weight)
@@ -534,9 +450,9 @@ func (r *Recorder) sampleAtPercentile(p float64) *Sample {
 }
 
 // Percentile returns the weighted p-th percentile latency (NaN when
-// empty). P99 tail latency is Percentile(99). In sketch mode the value
-// is the deterministic sketch estimate, within SketchAlpha relative
-// error of the exact weighted percentile.
+// empty). P99 tail latency is Percentile(99). Over sketch storage the
+// value is the deterministic sketch estimate, within SketchAlpha
+// relative error of the exact weighted percentile.
 func (r *Recorder) Percentile(p float64) float64 {
 	if r.sk != nil {
 		return r.mergedSketch().Quantile(p)
@@ -550,8 +466,8 @@ func (r *Recorder) Percentile(p float64) float64 {
 
 // BreakdownAtPercentile returns the latency decomposition of the sample
 // sitting at the weighted p-th percentile — how the paper plots "P99
-// latency breakdown". Sketch-mode recorders retain no per-sample
-// breakdowns and return the zero decomposition.
+// latency breakdown". Sketch storage retains no per-sample breakdowns
+// and returns the zero decomposition.
 func (r *Recorder) BreakdownAtPercentile(p float64) gpu.Breakdown {
 	if r.sk != nil {
 		return gpu.Breakdown{}
@@ -586,36 +502,28 @@ func (r *Recorder) CDF(points int) []CDFPoint {
 }
 
 // Latencies returns the raw latency list, one value per sample. Used by
-// the statistical tests. Sketch-mode recorders retain no raw values and
-// return nil.
+// the statistical tests. Sketch storage retains no raw values and
+// returns nil.
 func (r *Recorder) Latencies() []float64 {
 	if r.sk != nil {
 		return nil
 	}
-	out := make([]float64, 0, r.exactLen())
-	r.eachExact(func(s *Sample) { out = append(out, s.Latency) })
+	out := make([]float64, 0, r.Len())
+	r.eachPos(func(i int) { out = append(out, r.samples[i].Latency) })
 	return out
 }
 
-// completedWithin restricts to requests that finished by the horizon
-// (excluding the post-trace drain). A zero horizon keeps everything.
-// Sketch-mode recorders retain no completion times; the view keeps
-// every aggregate (throughput then includes drain-completed work).
-func (r *Recorder) completedWithin(horizon float64) *Recorder {
-	if horizon <= 0 {
-		return r
-	}
-	return r.Filter(func(s Sample) bool { return s.Completed <= horizon })
-}
-
 // Throughput returns strict requests served per GPU per second within
-// the horizon — the metric of Figure 10a. Backlogged schemes that only
+// the horizon (excluding the post-trace drain; a zero horizon keeps
+// everything) — the metric of Figure 10a. Backlogged schemes that only
 // finish work during the final drain score lower, as on a real cluster.
+// Sketch storage keeps no completion times, so it counts drain-completed
+// work too.
 func (r *Recorder) Throughput(duration float64, gpus int, horizon float64) float64 {
 	if duration <= 0 || gpus <= 0 {
 		return 0
 	}
-	return float64(r.completedWithin(horizon).Strict().Requests()) / duration / float64(gpus)
+	return float64(r.count(horizon).strictW) / duration / float64(gpus)
 }
 
 // TotalThroughput returns all requests served per GPU per second within
@@ -624,7 +532,7 @@ func (r *Recorder) TotalThroughput(duration float64, gpus int, horizon float64) 
 	if duration <= 0 || gpus <= 0 {
 		return 0
 	}
-	return float64(r.completedWithin(horizon).Requests()) / duration / float64(gpus)
+	return float64(r.count(horizon).weight) / duration / float64(gpus)
 }
 
 // Summary bundles the headline numbers for one scheme/model cell.
@@ -682,21 +590,21 @@ type ModelStats struct {
 // operational view of everything served, not the paper's strict-only
 // headline.
 func (r *Recorder) Snapshot() []ModelStats {
-	names := make(map[string]bool)
+	seen := make(map[string]bool)
 	if r.sk != nil {
-		for _, k := range r.skKeys() {
-			names[k.model] = true
+		for _, k := range r.visibleKeys() {
+			seen[k.model] = true
 		}
 	} else {
-		r.eachExact(func(s *Sample) { names[s.Model] = true })
+		r.eachPos(func(i int) { seen[r.samples[i].Model] = true })
 	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
+	names := make([]string, 0, len(seen))
+	for name := range seen {
+		names = append(names, name)
 	}
-	sort.Strings(sorted)
-	out := make([]ModelStats, 0, len(sorted))
-	for _, name := range sorted {
+	sort.Strings(names)
+	out := make([]ModelStats, 0, len(names))
+	for _, name := range names {
 		sub := r.ForModel(name)
 		strict := sub.Strict()
 		st := ModelStats{

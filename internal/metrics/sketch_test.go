@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,13 +133,17 @@ func TestSketchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestExactViewsShareBacking asserts Filter and friends return views
-// (no sample copies) and that mutating a view materialises a private
-// copy instead of corrupting the parent.
+// TestExactViewsShareBacking asserts the selectors return views (no
+// sample copies), that chained selections compose, and that mutating a
+// view detaches it instead of corrupting the parent.
 func TestExactViewsShareBacking(t *testing.T) {
 	r := &Recorder{}
 	for i := 0; i < 100; i++ {
-		r.Add(Sample{Model: "BERT", Strict: i%2 == 0, Latency: float64(i), SLO: 50, Weight: 1})
+		m := "GPT-2"
+		if i < 10 {
+			m = "BERT"
+		}
+		r.Add(Sample{Model: m, Strict: i%2 == 0, Latency: float64(i), SLO: 50, Weight: 1})
 	}
 	v := r.Strict()
 	if v.Len() != 50 {
@@ -147,7 +152,7 @@ func TestExactViewsShareBacking(t *testing.T) {
 	if &v.samples[0] != &r.samples[0] {
 		t.Fatalf("view copied the sample backing")
 	}
-	sub := v.Filter(func(s Sample) bool { return s.Latency < 10 })
+	sub := v.ForModel("BERT")
 	if sub.Len() != 5 {
 		t.Fatalf("chained view has %d samples, want 5", sub.Len())
 	}
@@ -173,7 +178,7 @@ func TestExactViewsShareBacking(t *testing.T) {
 	}
 
 	// Mutating the parent after views exist must not corrupt views.
-	r.Add(Sample{Model: "GPT-2", Strict: false, Latency: 1, Weight: 1})
+	r.Add(Sample{Model: "BERT", Strict: true, Latency: 1, Weight: 1})
 	if sub.Len() != 5 || sub.Percentile(100) != 8 {
 		t.Fatalf("view changed after parent mutation")
 	}
@@ -264,5 +269,146 @@ func BenchmarkSketchAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Add(Sample{Model: "BERT", Strict: true, SLO: 0.1, Latency: vals[i%len(vals)], Weight: 1})
+	}
+}
+
+// TestAddMergeEveryStorageCombination drives Add and Merge through every
+// receiver {exact, sketch} × {root, view} and argument {exact, sketch} ×
+// {root, view}: none may panic, the tally-backed queries must equal an
+// exact reference over the same samples, and quantiles must match it
+// exactly when both sides are exact and within SketchAlpha otherwise.
+func TestAddMergeEveryStorageCombination(t *testing.T) {
+	gen := func(seed int64, n int) []Sample {
+		rng := rand.New(rand.NewSource(seed))
+		models := []string{"BERT", "GPT-2"}
+		out := make([]Sample, n)
+		for i := range out {
+			out[i] = Sample{
+				Model:   models[rng.Intn(len(models))],
+				Tenant:  []string{"", "acme"}[rng.Intn(2)],
+				Strict:  rng.Intn(2) == 0,
+				Latency: math.Exp(rng.NormFloat64() - 3),
+				Weight:  1 + rng.Intn(4),
+			}
+			out[i].SLO = 0.06
+		}
+		return out
+	}
+	build := func(sketch, view bool, samples []Sample) (rec, parent *Recorder) {
+		parent = &Recorder{}
+		if sketch {
+			parent = NewSketchRecorder()
+		}
+		for _, s := range samples {
+			parent.Add(s)
+		}
+		if view {
+			return parent.ForModel("BERT"), parent
+		}
+		return parent, parent
+	}
+	// visible is what a recorder built by build exposes.
+	visible := func(view bool, samples []Sample) []Sample {
+		if !view {
+			return samples
+		}
+		var out []Sample
+		for _, s := range samples {
+			if s.Model == "BERT" {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	recvSamples, argSamples := gen(1, 400), gen(2, 300)
+	for _, op := range []string{"Add", "Merge"} {
+		for _, rs := range []bool{false, true} {
+			for _, rv := range []bool{false, true} {
+				for _, as := range []bool{false, true} {
+					for _, av := range []bool{false, true} {
+						if op == "Add" && (as || av) {
+							continue // Add takes a sample, not a recorder
+						}
+						name := fmt.Sprintf("%s/recv(sketch=%v,view=%v)/arg(sketch=%v,view=%v)", op, rs, rv, as, av)
+						t.Run(name, func(t *testing.T) {
+							recv, recvParent := build(rs, rv, recvSamples)
+							arg, argParent := build(as, av, argSamples)
+							parentReqs, argParentReqs := recvParent.Requests(), argParent.Requests()
+							ref := &Recorder{}
+							for _, s := range visible(rv, recvSamples) {
+								ref.Add(s)
+							}
+							added := visible(av, argSamples)
+							if op == "Add" {
+								for _, s := range added {
+									recv.Add(s)
+								}
+							} else {
+								recv.Merge(arg)
+							}
+							for _, s := range added {
+								ref.Add(s)
+							}
+							if recv != recvParent && recvParent.Requests() != parentReqs {
+								t.Fatalf("mutating a view changed its parent: %d requests, want %d", recvParent.Requests(), parentReqs)
+							}
+							if argParent.Requests() != argParentReqs {
+								t.Fatalf("merge changed the argument's parent")
+							}
+							checkAgainst(t, recv, ref, !rs && (op == "Add" || !as))
+						})
+					}
+				}
+			}
+		}
+	}
+
+	// An exact view is a snapshot: later parent Adds do not reach it.
+	parent := &Recorder{}
+	for _, s := range recvSamples {
+		parent.Add(s)
+	}
+	view := parent.Strict()
+	want := &Recorder{}
+	want.Merge(view)
+	for _, s := range argSamples {
+		parent.Add(s)
+	}
+	checkAgainst(t, view, want, true)
+}
+
+// checkAgainst compares every tally-backed query of got with the exact
+// reference ref, and its quantiles exactly or within SketchAlpha.
+func checkAgainst(t *testing.T, got, ref *Recorder, exact bool) {
+	t.Helper()
+	if g, w := got.Len(), ref.Len(); g != w {
+		t.Errorf("Len = %d, want %d", g, w)
+	}
+	if g, w := got.Requests(), ref.Requests(); g != w {
+		t.Errorf("Requests = %d, want %d", g, w)
+	}
+	if g, w := got.Strict().Requests(), ref.Strict().Requests(); g != w {
+		t.Errorf("strict Requests = %d, want %d", g, w)
+	}
+	for name, pair := range map[string][2]float64{
+		"SLOCompliance": {got.SLOCompliance(), ref.SLOCompliance()},
+		"Attainment":    {got.Attainment(), ref.Attainment()},
+		"Goodput":       {Goodput(got, 60), Goodput(ref, 60)},
+	} {
+		if pair[0] != pair[1] {
+			t.Errorf("%s = %v, want %v", name, pair[0], pair[1])
+		}
+	}
+	if g, w := got.Mean(), ref.Mean(); math.Abs(g-w) > 1e-12*w {
+		t.Errorf("Mean = %v, want %v", g, w)
+	}
+	for _, p := range []float64{50, 99} {
+		g, w := got.Percentile(p), ref.Percentile(p)
+		if exact && g != w {
+			t.Errorf("P%v = %v, want exactly %v", p, g, w)
+		}
+		if rel := math.Abs(g-w) / w; rel > SketchAlpha {
+			t.Errorf("P%v = %v, want %v within %v (relative error %.4f)", p, g, w, SketchAlpha, rel)
+		}
 	}
 }
