@@ -35,12 +35,14 @@ race:
 	$(GO) test -race ./...
 
 # Run the hot-path benchmarks (GPU engine, event core, scenarios,
-# market tick), then the million-user scale cells once each; the 100x
-# cell fails outright above the pinned heap ceiling. End-to-end numbers
-# with regression bounds come from perfbench (see perfbench/README.md).
+# recorder drain and report path, market tick), then the million-user
+# scale cells once each; the 100x cell fails outright above the pinned
+# heap ceiling. End-to-end numbers with regression bounds come from
+# perfbench (see perfbench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -skip 'BenchmarkScaleCell' \
-		./internal/gpu ./internal/sim ./internal/experiments ./internal/market
+		./internal/gpu ./internal/sim ./internal/experiments ./internal/metrics \
+		./internal/market
 	$(GO) test -run '^$$' -bench BenchmarkScaleCell -benchtime 1x \
 		./internal/experiments
 

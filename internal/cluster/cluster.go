@@ -618,7 +618,9 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 		reconfigs += n.gpu.ReconfigCount()
 		aborts += n.gpu.ReconfigAborts()
 		// Merge the lane-local accumulators in node order — a fixed
-		// order, so the report is a pure function of the schedule.
+		// order, so the report is a pure function of the schedule. An
+		// exact node recorder's chunks are shared, not copied; the node
+		// records nothing after the drain.
 		c.recorder.Merge(&n.recorder)
 		c.timeline = append(c.timeline, n.timeline...)
 		c.completed += n.completed

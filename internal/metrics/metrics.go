@@ -14,9 +14,11 @@
 package metrics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"protean/internal/gpu"
@@ -47,24 +49,41 @@ type Sample struct {
 }
 
 // Recorder accumulates samples. Its storage is fixed at construction:
-// the zero value buffers every sample (exact storage); NewSketchRecorder
+// the zero value keeps every sample (exact storage); NewSketchRecorder
 // keeps one streaming aggregate per (model, tenant, class) key instead
 // (sketch storage). Only the storage primitives — Add, Merge, the
 // counting scan (count), the key selection (where), Snapshot's model
 // list and the quantile, breakdown and latency readers — look at which
 // storage is in use; every scalar query reads one tally.
 //
+// Exact storage holds pointer-free records in append-only chunks that
+// are never reallocated, so the garbage collector has nothing to scan
+// and a chunk, once written, never moves. Merging an exact root into an
+// exact recorder shares the root's chunk headers instead of copying its
+// samples.
+//
 // Strict, BestEffort, ForModel and ForTenant return views: one key
-// selection over the parent's storage — sample positions in parent
-// order, or aggregate keys — never a sample copy. A parent only ever
-// appends, so an exact view is a snapshot: later samples lie past every
-// position it indexes. A sketch view shares its parent's aggregates. A
-// view that receives Add or Merge first detaches into a recorder of its
-// own, so the parent is never perturbed.
+// selection over the parent's storage — record positions in parent
+// order, or aggregate keys — never a sample copy. A recorder only ever
+// appends past the records it has exposed, so an exact view, like a
+// merged chunk, is a snapshot: later samples lie past every position it
+// indexes. A sketch view shares its parent's aggregates. A view that
+// receives Add or Merge first detaches into a recorder of its own, so
+// the parent is never perturbed.
 type Recorder struct {
-	// samples is exact storage, in arrival order. An exact view shares
-	// its parent's backing and reads it through pos.
-	samples []Sample
+	// chunks is exact storage, in arrival order: the recorder's own
+	// chunks and the chunk headers it shared from merged roots. A shared
+	// header is capped at the length it had when shared, so it is full:
+	// the next Add after a Merge opens a fresh chunk, and only a chunk's
+	// creator ever appends to it.
+	chunks []chunk
+	// keyTab interns the keys of the samples this recorder added, in
+	// first-seen order; keyIDs indexes it and lastKey/lastID cache the
+	// most recent lookup, so a run of same-key samples skips the map.
+	keyTab  []key
+	keyIDs  map[key]uint32
+	lastKey key
+	lastID  uint32
 	// tal is the exact-storage tally of the visible samples, in sample
 	// order: kept current by Add and Merge, built with a view's
 	// selection.
@@ -73,18 +92,53 @@ type Recorder struct {
 	sk *sketchStore
 	// pos (exact) or keys (sketch) is a view's selection, in the order
 	// the parent walks it; both are nil on a root.
-	pos  []int
+	pos  []recPos
 	keys []key
 
-	// byLat caches the latency-sorted sample positions for the quantile
+	// byLat caches the latency-sorted record positions for the quantile
 	// path; valid only while sortedOK. Add/Merge invalidate it, so
 	// report generation re-sorts once instead of once per quantile.
-	byLat    []int
+	byLat    []latPos
 	sortedOK bool
 }
 
-// key identifies one sketch aggregate; it is also what the selectors
-// match samples on.
+// record is the exact-storage form of a Sample. It holds no pointer:
+// model, tenant and class live in the owning chunk's key table and the
+// record names them by id.
+type record struct {
+	latency, slo, completed float64
+	breakdown               gpu.Breakdown
+	weight                  int32
+	key                     uint32
+}
+
+// chunk is one append-only block of records and the key table their key
+// ids index. Its backing array is allocated once at full capacity and
+// never reallocated.
+type chunk struct {
+	recs []record
+	keys []key
+}
+
+// A recorder's first chunk holds minChunk records; each later one holds
+// as many as the recorder already has, up to maxChunk. Small first
+// chunks keep the live plane's many per-tenant recorders small.
+const (
+	minChunk = 16
+	maxChunk = 1 << 14
+)
+
+// recPos locates one record: chunk index, then index within the chunk.
+type recPos struct{ c, i uint32 }
+
+// latPos is one entry of the quantile path's latency order.
+type latPos struct {
+	lat float64
+	recPos
+}
+
+// key identifies one sketch aggregate and one key-table entry; it is
+// also what the selectors match samples on.
 type key struct {
 	model  string
 	tenant string
@@ -107,20 +161,21 @@ type tally struct {
 	strictW, strictMet int
 }
 
-func (t *tally) add(s *Sample) {
+func (t *tally) add(rec *record, strict bool) {
+	w := int(rec.weight)
 	t.n++
-	t.weight += s.Weight
-	t.latSum += s.Latency * float64(s.Weight)
-	if s.SLO > 0 {
-		t.attTotal += s.Weight
-		if s.Latency <= s.SLO {
-			t.attMet += s.Weight
+	t.weight += w
+	t.latSum += rec.latency * float64(w)
+	if rec.slo > 0 {
+		t.attTotal += w
+		if rec.latency <= rec.slo {
+			t.attMet += w
 		}
 	}
-	if s.Strict {
-		t.strictW += s.Weight
-		if s.Latency <= s.SLO {
-			t.strictMet += s.Weight
+	if strict {
+		t.strictW += w
+		if rec.latency <= rec.slo {
+			t.strictMet += w
 		}
 	}
 }
@@ -150,10 +205,10 @@ type sketchStore struct {
 	sorted []key
 }
 
-func (s *sketchStore) add(smp *Sample) {
-	a := s.agg(key{smp.Model, smp.Tenant, smp.Strict})
-	a.sk.Add(smp.Latency, smp.Weight)
-	a.tally.add(smp)
+func (s *sketchStore) add(k key, rec *record) {
+	a := s.agg(k)
+	a.sk.Add(rec.latency, int(rec.weight))
+	a.tally.add(rec, k.strict)
 }
 
 func (s *sketchStore) merge(k key, o *sketchAgg) {
@@ -219,7 +274,8 @@ func (r *Recorder) detach() {
 	*r = *own
 }
 
-// Add records a sample. Zero weights are normalized to 1.
+// Add records a sample. Zero weights are normalized to 1; a weight is
+// held as an int32.
 func (r *Recorder) Add(s Sample) {
 	if s.Weight <= 0 {
 		s.Weight = 1
@@ -227,19 +283,58 @@ func (r *Recorder) Add(s Sample) {
 	if r.isView() {
 		r.detach()
 	}
+	k := key{s.Model, s.Tenant, s.Strict}
+	rec := record{latency: s.Latency, slo: s.SLO, weight: int32(s.Weight)}
 	if r.sk != nil {
-		r.sk.add(&s)
+		r.sk.add(k, &rec)
 		return
 	}
-	r.samples = append(r.samples, s)
-	r.tal.add(&s)
+	rec.completed, rec.breakdown = s.Completed, s.Breakdown
+	r.push(k, rec)
+}
+
+// push appends a record under key k to an exact root's tail chunk,
+// opening a fresh chunk when the tail is full (a shared tail always is).
+func (r *Recorder) push(k key, rec record) {
+	rec.key = r.intern(k)
+	if n := len(r.chunks); n == 0 || len(r.chunks[n-1].recs) == cap(r.chunks[n-1].recs) {
+		size := min(max(r.tal.n, minChunk), maxChunk)
+		r.chunks = append(r.chunks, chunk{recs: make([]record, 0, size)})
+	}
+	c := &r.chunks[len(r.chunks)-1]
+	c.recs = append(c.recs, rec)
+	c.keys = r.keyTab
+	r.tal.add(&rec, k.strict)
 	r.sortedOK = false
 }
 
+// intern returns k's id in the recorder's key table, adding it on first
+// sight.
+func (r *Recorder) intern(k key) uint32 {
+	if len(r.keyTab) > 0 && k == r.lastKey {
+		return r.lastID
+	}
+	id, ok := r.keyIDs[k]
+	if !ok {
+		if r.keyIDs == nil {
+			r.keyIDs = make(map[key]uint32)
+		}
+		id = uint32(len(r.keyTab))
+		r.keyTab = append(r.keyTab, k)
+		r.keyIDs[k] = id
+	}
+	r.lastKey, r.lastID = k, id
+	return id
+}
+
 // Merge folds other's samples, read through other's own selection, into
-// r. Merging a sketch into an exact recorder turns r into a sketch
-// recorder — the sketch's samples cannot be recovered — after folding
-// r's own samples into its aggregates.
+// r. An exact root's chunks are shared, not copied; an exact view's
+// selected records are copied. Either way r's tally continues the scan
+// in sample order, so it equals the tally of a recorder that added the
+// same samples one by one — summing the two tallies would round latSum
+// differently. Merging a sketch into an exact recorder turns r into a
+// sketch recorder — the sketch's samples cannot be recovered — after
+// folding r's own samples into its aggregates.
 func (r *Recorder) Merge(other *Recorder) {
 	if other == nil {
 		return
@@ -258,29 +353,44 @@ func (r *Recorder) Merge(other *Recorder) {
 			r.sk.merge(k, other.sk.aggs[k])
 		}
 	case r.sk != nil:
-		other.eachPos(func(i int) { r.sk.add(&other.samples[i]) })
+		other.each(func(_ recPos, c *chunk, rec *record) { r.sk.add(c.keys[rec.key], rec) })
+	case other.pos != nil:
+		other.each(func(_ recPos, c *chunk, rec *record) { r.push(c.keys[rec.key], *rec) })
 	default:
-		other.eachPos(func(i int) {
-			r.samples = append(r.samples, other.samples[i])
-			r.tal.add(&other.samples[i])
-		})
+		for _, c := range other.chunks {
+			// Cap the shared header at its length: it is full, so no
+			// append through it reaches the records the donor adds later.
+			c.recs = c.recs[:len(c.recs):len(c.recs)]
+			c.keys = c.keys[:len(c.keys):len(c.keys)]
+			r.chunks = append(r.chunks, c)
+			for i := range c.recs {
+				r.tal.add(&c.recs[i], c.keys[c.recs[i].key].strict)
+			}
+		}
 		r.sortedOK = false
 	}
 }
 
-// eachPos visits the positions of the visible samples in order (exact
-// storage).
-func (r *Recorder) eachPos(fn func(int)) {
+// each visits the visible records in order with their positions and
+// chunks (exact storage).
+func (r *Recorder) each(fn func(p recPos, c *chunk, rec *record)) {
 	if r.pos != nil {
-		for _, i := range r.pos {
-			fn(i)
+		for _, p := range r.pos {
+			c := &r.chunks[p.c]
+			fn(p, c, &c.recs[p.i])
 		}
 		return
 	}
-	for i := range r.samples {
-		fn(i)
+	for ci := range r.chunks {
+		c := &r.chunks[ci]
+		for i := range c.recs {
+			fn(recPos{uint32(ci), uint32(i)}, c, &c.recs[i])
+		}
 	}
 }
+
+// at returns the record at p (exact storage).
+func (r *Recorder) at(p recPos) *record { return &r.chunks[p.c].recs[p.i] }
 
 // visibleKeys returns the aggregate keys visible through this recorder,
 // sorted (sketch storage).
@@ -304,9 +414,9 @@ func (r *Recorder) count(horizon float64) tally {
 	case horizon <= 0:
 		t = r.tal
 	default:
-		r.eachPos(func(i int) {
-			if r.samples[i].Completed <= horizon {
-				t.add(&r.samples[i])
+		r.each(func(_ recPos, c *chunk, rec *record) {
+			if rec.completed <= horizon {
+				t.add(rec, c.keys[rec.key].strict)
 			}
 		})
 	}
@@ -321,7 +431,8 @@ func (r *Recorder) Requests() int { return r.count(0).weight }
 
 // where is the one key selection behind Strict, BestEffort, ForModel
 // and ForTenant: a view of the samples, or aggregates, whose key keep
-// accepts, in this recorder's order.
+// accepts, in this recorder's order. Over exact storage keep runs once
+// per key-table entry, not once per record.
 func (r *Recorder) where(keep func(key) bool) *Recorder {
 	if r.sk != nil {
 		v := &Recorder{sk: r.sk, keys: []key{}}
@@ -332,12 +443,18 @@ func (r *Recorder) where(keep func(key) bool) *Recorder {
 		}
 		return v
 	}
-	v := &Recorder{samples: r.samples, pos: []int{}}
-	r.eachPos(func(i int) {
-		s := &r.samples[i]
-		if keep(key{s.Model, s.Tenant, s.Strict}) {
-			v.pos = append(v.pos, i)
-			v.tal.add(s)
+	v := &Recorder{chunks: r.chunks, pos: []recPos{}}
+	masks := make([][]bool, len(v.chunks))
+	for ci, c := range v.chunks {
+		masks[ci] = make([]bool, len(c.keys))
+		for id, k := range c.keys {
+			masks[ci][id] = keep(k)
+		}
+	}
+	r.each(func(p recPos, c *chunk, rec *record) {
+		if masks[p.c][rec.key] {
+			v.pos = append(v.pos, p)
+			v.tal.add(rec, c.keys[rec.key].strict)
 		}
 	})
 	return v
@@ -400,17 +517,27 @@ func (r *Recorder) Mean() float64 {
 	return t.latSum / float64(t.weight)
 }
 
-// sortedByLatency returns sample positions ordered by latency, cached
-// behind a dirty flag: report generation asks for many quantiles over
-// the same frozen recorder, and re-sorting per quantile made the
-// report path O(n log n) per call.
-func (r *Recorder) sortedByLatency() []int {
+// sortedByLatency returns record positions ordered by latency, ties in
+// visible order, cached behind a dirty flag: report generation asks for
+// many quantiles over the same frozen recorder, and re-sorting per
+// quantile made the report path O(n log n) per call. Positions grow
+// with visible order, so comparing them breaks ties as a stable sort
+// would.
+func (r *Recorder) sortedByLatency() []latPos {
 	if r.sortedOK {
 		return r.byLat
 	}
-	idx := make([]int, 0, r.Len())
-	r.eachPos(func(i int) { idx = append(idx, i) })
-	sort.SliceStable(idx, func(a, b int) bool { return r.samples[idx[a]].Latency < r.samples[idx[b]].Latency })
+	idx := make([]latPos, 0, r.Len())
+	r.each(func(p recPos, _ *chunk, rec *record) { idx = append(idx, latPos{rec.latency, p}) })
+	slices.SortFunc(idx, func(a, b latPos) int {
+		if c := cmp.Compare(a.lat, b.lat); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.c, b.c); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
 	r.byLat = idx
 	r.sortedOK = true
 	return idx
@@ -431,22 +558,23 @@ func (r *Recorder) mergedSketch() *Sketch {
 	return merged
 }
 
-// sampleAtPercentile returns the weighted p-th percentile sample
+// recordAtPercentile returns the weighted p-th percentile record
 // (0 < p <= 100), or nil when the recorder is empty (exact storage).
-func (r *Recorder) sampleAtPercentile(p float64) *Sample {
+func (r *Recorder) recordAtPercentile(p float64) *record {
 	if r.Len() == 0 {
 		return nil
 	}
 	idx := r.sortedByLatency()
 	target := p / 100 * float64(r.Requests())
 	cum := 0.0
-	for _, i := range idx {
-		cum += float64(r.samples[i].Weight)
+	for _, e := range idx {
+		rec := r.at(e.recPos)
+		cum += float64(rec.weight)
 		if cum >= target {
-			return &r.samples[i]
+			return rec
 		}
 	}
-	return &r.samples[idx[len(idx)-1]]
+	return r.at(idx[len(idx)-1].recPos)
 }
 
 // Percentile returns the weighted p-th percentile latency (NaN when
@@ -457,11 +585,11 @@ func (r *Recorder) Percentile(p float64) float64 {
 	if r.sk != nil {
 		return r.mergedSketch().Quantile(p)
 	}
-	s := r.sampleAtPercentile(p)
-	if s == nil {
+	rec := r.recordAtPercentile(p)
+	if rec == nil {
 		return math.NaN()
 	}
-	return s.Latency
+	return rec.latency
 }
 
 // BreakdownAtPercentile returns the latency decomposition of the sample
@@ -472,11 +600,11 @@ func (r *Recorder) BreakdownAtPercentile(p float64) gpu.Breakdown {
 	if r.sk != nil {
 		return gpu.Breakdown{}
 	}
-	s := r.sampleAtPercentile(p)
-	if s == nil {
+	rec := r.recordAtPercentile(p)
+	if rec == nil {
 		return gpu.Breakdown{}
 	}
-	return s.Breakdown
+	return rec.breakdown
 }
 
 // CDFPoint is one point of an empirical latency CDF.
@@ -509,7 +637,7 @@ func (r *Recorder) Latencies() []float64 {
 		return nil
 	}
 	out := make([]float64, 0, r.Len())
-	r.eachPos(func(i int) { out = append(out, r.samples[i].Latency) })
+	r.each(func(_ recPos, _ *chunk, rec *record) { out = append(out, rec.latency) })
 	return out
 }
 
@@ -596,7 +724,7 @@ func (r *Recorder) Snapshot() []ModelStats {
 			seen[k.model] = true
 		}
 	} else {
-		r.eachPos(func(i int) { seen[r.samples[i].Model] = true })
+		r.each(func(_ recPos, c *chunk, rec *record) { seen[c.keys[rec.key].model] = true })
 	}
 	names := make([]string, 0, len(seen))
 	for name := range seen {

@@ -133,9 +133,10 @@ func TestSketchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestExactViewsShareBacking asserts the selectors return views (no
-// sample copies), that chained selections compose, and that mutating a
-// view detaches it instead of corrupting the parent.
+// TestExactViewsShareBacking asserts the selectors return views and
+// that merging an exact root shares its chunks (no sample copies), that
+// chained selections compose, and that mutating a view detaches it
+// instead of corrupting the parent.
 func TestExactViewsShareBacking(t *testing.T) {
 	r := &Recorder{}
 	for i := 0; i < 100; i++ {
@@ -145,12 +146,27 @@ func TestExactViewsShareBacking(t *testing.T) {
 		}
 		r.Add(Sample{Model: m, Strict: i%2 == 0, Latency: float64(i), SLO: 50, Weight: 1})
 	}
+	if len(r.chunks) < 2 {
+		t.Fatalf("100 samples fill %d chunk(s), want several", len(r.chunks))
+	}
 	v := r.Strict()
 	if v.Len() != 50 {
 		t.Fatalf("strict view has %d samples, want 50", v.Len())
 	}
-	if &v.samples[0] != &r.samples[0] {
-		t.Fatalf("view copied the sample backing")
+	m := &Recorder{}
+	m.Merge(r)
+	if m.Len() != 100 {
+		t.Fatalf("merged recorder has %d samples, want 100", m.Len())
+	}
+	for name, got := range map[string]*Recorder{"view": v, "merged recorder": m} {
+		if len(got.chunks) != len(r.chunks) {
+			t.Fatalf("%s has %d chunks, want the root's %d", name, len(got.chunks), len(r.chunks))
+		}
+		for ci := range r.chunks {
+			if &got.chunks[ci].recs[0] != &r.chunks[ci].recs[0] {
+				t.Fatalf("%s copied chunk %d instead of sharing it", name, ci)
+			}
+		}
 	}
 	sub := v.ForModel("BERT")
 	if sub.Len() != 5 {
@@ -233,8 +249,8 @@ func TestSketchRecorderMergesExact(t *testing.T) {
 
 // BenchmarkReportPath measures the full per-cell report computation
 // (class and model views, percentiles, summaries) over a large
-// recorder. The view-based Filter keeps this allocation-light: each
-// subset costs one index slice rather than a copy of every sample.
+// recorder. The selectors return views, so each subset costs one
+// position slice rather than a copy of every sample.
 func BenchmarkReportPath(b *testing.B) {
 	r := &Recorder{}
 	rng := rand.New(rand.NewSource(1))

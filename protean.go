@@ -264,9 +264,13 @@ type Workload struct {
 
 // Result summarizes one run.
 type Result struct {
-	// SLOCompliance is the fraction of strict requests meeting their
-	// target.
+	// SLOCompliance is the weighted fraction of strict requests meeting
+	// their target; 0 when StrictRequests is 0 (kept finite so results
+	// survive JSON encoding — check StrictRequests to distinguish "none
+	// measured" from "all missed").
 	SLOCompliance float64
+	// StrictRequests is the number of measured strict requests.
+	StrictRequests int
 	// StrictP50 and StrictP99 are strict latency percentiles.
 	StrictP50, StrictP99 time.Duration
 	// BEP50 and BEP99 are best-effort latency percentiles.
@@ -423,7 +427,7 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 	strictRec := rec.Strict()
 	beRec := rec.BestEffort()
 	out := &Result{
-		SLOCompliance:     rec.SLOCompliance(),
+		StrictRequests:    strictRec.Requests(),
 		StrictP50:         secs(strictRec.Percentile(50)),
 		StrictP99:         secs(strictRec.Percentile(99)),
 		BEP50:             secs(beRec.Percentile(50)),
@@ -437,6 +441,9 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 		Requeued:          res.Availability.Requeued,
 		Retries:           res.Availability.Retries,
 		Models:            rec.Snapshot(),
+	}
+	if out.StrictRequests > 0 {
+		out.SLOCompliance = rec.SLOCompliance()
 	}
 	if res.Cost != nil {
 		out.NormalizedCost = res.Cost.Normalized

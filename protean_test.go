@@ -1,6 +1,7 @@
 package protean
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +56,9 @@ func TestRunSmallWorkload(t *testing.T) {
 	if res.SLOCompliance <= 0 || res.SLOCompliance > 1 {
 		t.Errorf("SLO compliance = %v", res.SLOCompliance)
 	}
+	if res.StrictRequests <= 0 || res.StrictRequests > res.Requests {
+		t.Errorf("strict requests = %d of %d", res.StrictRequests, res.Requests)
+	}
 	if res.StrictP99 <= 0 {
 		t.Errorf("strict P99 = %v", res.StrictP99)
 	}
@@ -63,6 +67,26 @@ func TestRunSmallWorkload(t *testing.T) {
 	}
 	if len(res.GeometryTimeline) == 0 {
 		t.Error("no geometry timeline")
+	}
+}
+
+// TestRunWithoutStrictSamples runs with a warm-up that covers the whole
+// trace, so no strict request is measured: the result must stay finite
+// (SLOCompliance 0 with StrictRequests 0, not NaN) and encode as JSON.
+func TestRunWithoutStrictSamples(t *testing.T) {
+	p, err := New(WithNodes(1), WithSeed(3), WithWarmup(20*time.Second))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	res, err := p.Run(Workload{StrictModel: "ResNet 50", MeanRPS: 200, Duration: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.StrictRequests != 0 || res.SLOCompliance != 0 {
+		t.Errorf("StrictRequests = %d, SLOCompliance = %v; want 0 and 0", res.StrictRequests, res.SLOCompliance)
+	}
+	if _, err := json.Marshal(res); err != nil {
+		t.Fatalf("json.Marshal: %v", err)
 	}
 }
 
